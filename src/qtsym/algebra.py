@@ -172,7 +172,12 @@ class SymElement:
         return self.algebra.add(self, -other).is_zero()
 
     def __hash__(self):
-        return hash((self.basis, frozenset(self.terms.items())))
+        # elements of different bases can be equal, so hash only what a
+        # conversion keeps: the degrees, or the value of a constant
+        degrees = frozenset(lam.size for lam in self.terms)
+        if degrees <= {0}:
+            return hash(self.coefficient(Partition()))
+        return hash(degrees)
 
     def __str__(self) -> str:
         return self.algebra.render_element(self)

@@ -54,10 +54,6 @@ def _poly_neg(a: Poly) -> Poly:
     return {mono: -c for mono, c in a.items()}
 
 
-def _poly_sub(a: Poly, b: Poly) -> Poly:
-    return _poly_add(a, _poly_neg(b))
-
-
 def _poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
@@ -786,10 +782,14 @@ class Coeff:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # constants compare equal to int and Fraction, so they hash alike
         if self._hash is None:
-            self._hash = hash(
-                (frozenset(self.num.items()), frozenset(self.den.items()))
-            )
+            if _poly_is_one(self.den) and self.num.keys() <= {(0, 0)}:
+                self._hash = hash(self.num.get((0, 0), 0))
+            else:
+                self._hash = hash(
+                    (frozenset(self.num.items()), frozenset(self.den.items()))
+                )
         return self._hash
 
     # -- substitution ------------------------------------------------------

@@ -15,6 +15,10 @@ Unary minus, division and the empty index list exist so that every
 rendered element parses back: renderings use leading minus signs,
 rational-function coefficients and degree-zero elements like ``m[]``.
 
+Brackets, calls and unary minus nest at most MAX_NESTING levels deep;
+deeper input is a syntax error rather than a stack overflow.  Chains of
+binary operators may be any length.
+
 Names resolve at evaluation time against the registry, so bases
 registered after parsing still work.  ``to_<basis>(f)`` converts,
 ``scalar``/``scalar_t``/``scalar_qt`` take the three inner products, and
@@ -23,12 +27,16 @@ any registered operator name (such as ``omega``) is callable.
 
 from __future__ import annotations
 
+import operator
+
 from .algebra import SymElement, SymmetricFunctions
 from .coeffs import Coeff
 from .errors import ExpressionError, QtSymError
 from .partitions import Partition
 
 _SYMBOLS = "+-*/^()[],"
+
+MAX_NESTING = 100
 
 
 class _Token:
@@ -91,6 +99,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.at = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -105,6 +114,18 @@ class _Parser:
             )
         self.at += 1
         return tok
+
+    def nested(self, parse, tok: _Token) -> Node:
+        """Run one recursive step of the grammar under the nesting bound."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionError(
+                f"expression nests more than {MAX_NESTING} levels deep "
+                f"at position {tok.pos}"
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> Node:
         node = self.expr()
@@ -144,7 +165,7 @@ class _Parser:
     def unary(self) -> Node:
         if self.peek().kind == "-":
             tok = self.take()
-            inner = self.unary()
+            inner = self.nested(self.unary, tok)
             return Node("neg", None, (inner,), (tok.pos, inner.span[1]))
         return self.factor()
 
@@ -170,7 +191,7 @@ class _Parser:
             )
         if tok.kind == "(":
             self.take()
-            inner = self.expr()
+            inner = self.nested(self.expr, tok)
             close = self.take(")")
             return Node(
                 inner.kind,
@@ -198,10 +219,10 @@ class _Parser:
                 )
             if follow.kind == "(":
                 self.take()
-                args = [self.expr()]
+                args = [self.nested(self.expr, follow)]
                 while self.peek().kind == ",":
                     self.take()
-                    args.append(self.expr())
+                    args.append(self.nested(self.expr, follow))
                 close = self.take(")")
                 return Node(
                     "call",
@@ -224,6 +245,13 @@ def parse(src: str) -> Node:
 
 
 _SCALAR_CALLS = {"scalar": "hall", "scalar_t": "hall_t", "scalar_qt": "hall_qt"}
+
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
 
 
 class _Evaluator:
@@ -265,22 +293,25 @@ class _Evaluator:
         if kind == "pow":
             base = self.eval(node.children[0])
             return base ** node.value
-        left = self.eval(node.children[0])
-        right = self.eval(node.children[1])
+        # a left-associative chain such as 1 + 2 + ... + n is as deep as it
+        # is long, so walk its left spine in a loop instead of recursing
+        spine = []
+        while node.kind in _BINARY:
+            spine.append(node)
+            node = node.children[0]
+        value = self.eval(node)
+        for op in reversed(spine):
+            value = self.binary(op, value, self.eval(op.children[1]))
+        return value
+
+    def binary(self, node: Node, left, right):
         try:
-            if kind == "add":
-                return left + right
-            if kind == "sub":
-                return left - right
-            if kind == "mul":
-                return left * right
-            if kind == "div":
-                return left / right
+            return _BINARY[node.kind](left, right)
         except QtSymError as exc:
             raise self.fail(node, str(exc)) from exc
         except TypeError:
             pass
-        raise self.fail(node, f"cannot apply {kind!r} to these operands")
+        raise self.fail(node, f"cannot apply {node.kind!r} to these operands")
 
     def eval_elem(self, node: Node) -> SymElement:
         if self.scalars_only:

@@ -4,6 +4,8 @@ orthogonalization, operators, on-the-fly bases."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtsym import SymmetricFunctions
 from qtsym.coeffs import ONE, T, ZERO, Coeff
@@ -283,6 +285,44 @@ def test_equality_with_scalars(S):
     assert (S["p"]([1]) - S["p"]([1])) == 0
     assert S["m"]().scaled(T + 1) == T + 1
     assert S["p"]([1]) != 1
+
+
+def test_equal_elements_hash_equal_examples():
+    S = SymmetricFunctions()
+    assert S["s"]([1]) == S["m"]([1])
+    assert len({S["s"]([1]), S["m"]([1])}) == 1
+    assert len({S["p"](), S["e"](), 1, Coeff.from_value(1)}) == 1
+    assert hash(S.zero("h")) == hash(0) == hash(ZERO)
+
+
+_terms = st.dictionaries(
+    st.sampled_from([lam for n in range(4) for lam in partitions_of(n)]),
+    st.sampled_from([ONE, -ONE, Coeff.from_value(Fraction(3, 2)), T, 1 - T]),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("m", "e", "h", "p", "s", "P", "QP")),
+    st.sampled_from(("m", "e", "h", "p", "s", "P", "QP")),
+    _terms,
+)
+def test_equal_implies_equal_hash_across_bases(S, frm, to, terms):
+    el = S.element(frm, terms)
+    other = S.convert(el, to)
+    assert el == other
+    assert hash(el) == hash(other)
+    assert len({el, other}) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(max_denominator=20), st.sampled_from(("m", "s", "p", "QP")))
+def test_constant_elements_hash_like_their_value(S, value, basis):
+    el = S.one(basis).scaled(Coeff.from_value(value))
+    assert el == value and hash(el) == hash(value)
+    assert el == Coeff.from_value(value)
+    assert hash(el) == hash(Coeff.from_value(value))
 
 
 def test_element_substitute(S):

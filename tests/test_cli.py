@@ -242,6 +242,32 @@ def test_cli_eval_user_error_exit_code(capsys):
     assert code == 1 and "division by zero" in err
 
 
+def test_cli_eval_deep_nesting_is_user_error(capsys):
+    deep = "(" * 3000 + "1" + ")" * 3000
+    code, _, err = run_cli(capsys, "eval", deep)
+    assert code == 1 and err.startswith("error:") and "nests" in err
+    code, _, err = run_cli(capsys, "eval", "--", "-" * 3000 + "1")
+    assert code == 1 and "nests" in err
+    code, _, err = run_cli(capsys, "eval", "to_s(" * 3000 + "1" + ")" * 3000)
+    assert code == 1 and "nests" in err
+
+
+def test_eval_nesting_bound_and_long_chains(S):
+    from qtsym.exprs import MAX_NESTING
+
+    depth = MAX_NESTING
+    assert evaluate(S, "(" * depth + "t" + ")" * depth) == S.one().scaled(T)
+    assert evaluate(S, "-(" * (depth // 2) + "1" + ")" * (depth // 2)) == 1
+    nested_calls = "to_s(" * depth + "m[1]" + ")" * depth
+    assert evaluate(S, nested_calls) == S["s"]([1])
+    with pytest.raises(ExpressionError):
+        parse("(" * (depth + 1) + "1" + ")" * (depth + 1))
+    # chains of binary operators are not nesting and may be any length
+    assert evaluate(S, " + ".join(["1"] * 3000)) == 3000
+    assert evaluate(S, " * ".join(["m[1]"] * 3)) == S["m"]([1]) ** 3
+    assert evaluate(S, "2" + " / 1" * 3000) == 2
+
+
 # ---------------------------------------------------------------------------
 # Command line: combinatorics subcommands
 

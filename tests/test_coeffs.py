@@ -188,3 +188,22 @@ def test_common_factor_cancels(a, g):
 @given(fractions_qt)
 def test_hashable_and_consistent(a):
     assert hash(a) == hash(a + ZERO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(max_denominator=50))
+def test_constants_hash_like_their_fraction(value):
+    c = Coeff.from_value(value)
+    assert c == value and hash(c) == hash(value)
+    if value.denominator == 1:
+        assert c == int(value) and hash(c) == hash(int(value))
+    assert len({c, value}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_qt, fractions_qt)
+def test_equal_implies_equal_hash(a, b):
+    # the same value reached by two routes
+    assert hash((a + b) - b) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)

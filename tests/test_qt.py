@@ -5,6 +5,7 @@ import pytest
 from qtsym.coeffs import ONE, Q, T, ZERO
 from qtsym.errors import ScalarProductError
 from qtsym.partitions import Partition, partitions_of
+from qtsym.qt import _hhl_terms
 
 
 def test_hall_littlewood_p_goldens(S):
@@ -162,6 +163,55 @@ def test_macdonald_orthogonality(S):
                     S.element("McdP", lam), S.element("McdP", mu), "hall_qt"
                 )
                 assert got.is_zero(), (lam, mu)
+
+
+def _c_lam(lam):
+    conj = lam.conjugate()
+    out = ONE
+    for i, row in enumerate(lam.parts):
+        for j in range(row):
+            out = out * (1 - Q ** (row - j - 1) * T ** (conj.parts[j] - i))
+    return out
+
+
+def test_hhl_fillings_golden():
+    # H~_21 = s_3 + (q + t) s_21 + q t s_111, returned as t^n(lam) H~(q, 1/t)
+    # over m, with n([2,1]) = 1
+    assert _hhl_terms(Partition([2, 1])) == {
+        Partition([3]): {(0, 1): 1},
+        Partition([2, 1]): {(0, 1): 1, (1, 1): 1, (0, 0): 1},
+        Partition([1, 1, 1]): {(0, 1): 1, (1, 1): 2, (0, 0): 2, (1, 0): 1},
+    }
+
+
+def test_macdonald_hhl_matches_gram_schmidt_oracle(S):
+    # the McdP -> m edge comes from the Haglund-Haiman-Loehr formula; the
+    # hall_qt Gram-Schmidt is an independent construction of the same family
+    for n in range(6):
+        oracle = S.gram_schmidt(n, "hall_qt")
+        for lam in partitions_of(n):
+            got = S.convert(S.element("McdP", lam), "m")
+            assert got.terms == oracle[lam].terms, lam
+
+
+def test_macdonald_integral_form_is_polynomial(S):
+    # J_lam = c_lam P_lam has polynomial coefficients over m
+    for n in range(7):
+        for lam in partitions_of(n):
+            el = S.convert(S.element("McdP", lam), "m").scaled(_c_lam(lam))
+            for mu, c in el.terms.items():
+                assert c.is_polynomial(), (lam, mu)
+
+
+def test_macdonald_specializations_at_degree_6(S):
+    to_m = S.conversion_matrix("McdP", "m", 6)
+    p_to_m = S.conversion_matrix("P", "m", 6)
+    s_to_m = S.conversion_matrix("s", "m", 6)
+    for lam in partitions_of(6):
+        for mu in partitions_of(6):
+            c = to_m.entry(mu, lam)
+            assert c.substitute(q=0) == p_to_m.entry(mu, lam), (lam, mu)
+            assert c.substitute(q=T) == s_to_m.entry(mu, lam), (lam, mu)
 
 
 def test_degenerate_scalar_product_is_reported():
