@@ -469,7 +469,9 @@ def _int_biv_gcd(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomia
         if r:
             r = _layers_divide_uni(r, _layers_t_content(r))
         f, g = g, r
-    result = _layers_to_biv(f)
+    # pseudo-division leaves an integer factor that the t-content, being
+    # primitive, does not remove
+    result = _int_strip_content(_layers_to_biv(f))
     if cont_gcd != {0: 1}:
         result = _layers_to_biv(
             {et: _uni_mul(layer, cont_gcd) for et, layer in _biv_to_layers(result).items()}
@@ -632,6 +634,11 @@ class Coeff:
         if isinstance(value, (int, Fraction)):
             return cls(_poly_const(Fraction(value)), _ONE_POLY, reduced=True)
         raise TypeError(f"cannot build a Q(q,t) coefficient from {value!r}")
+
+    @classmethod
+    def from_t_poly(cls, poly: dict[int, int]) -> "Coeff":
+        """The integer polynomial sum of c t^e, given as {e: c}."""
+        return cls({(0, e): Fraction(c) for e, c in poly.items() if c})
 
     @classmethod
     def var(cls, name: str) -> "Coeff":

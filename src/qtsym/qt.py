@@ -1,8 +1,15 @@
 """Hall-Littlewood and Macdonald bases.
 
-* P: monic orthogonal family for the t-deformed scalar product, built by
-  Gram-Schmidt over the monomial basis.
-* Q: the same family rescaled so that <Q_lam, P_lam> = 1.
+* P: monic orthogonal family for the t-deformed scalar product, built from
+  the tableau formula P_lam = sum over SSYT T of shape lam of psi_T(t) x^T
+  (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11')).  A
+  tableau is a chain of horizontal strips and psi_T is the product of the
+  strip weights psi_{lam/mu}(t) = prod over j in J of (1 - t^{m_j(mu)}),
+  where J holds the columns j >= 1 that the strip misses while it fills
+  column j+1.  Every coefficient is an integer polynomial in t.
+* Q: the same family rescaled so that <Q_lam, P_lam> = 1, which is
+  Q_lam = b_lam(t) P_lam with b_lam = prod over part multiplicities m of
+  (1-t)(1-t^2)...(1-t^m) (ibid. III (2.11)).
 * QP: the dual family under the undeformed product, expanded over Schur
   functions by Kostka polynomials: QP_lam = sum_mu K_{mu,lam}(t) s_mu.
 * McdP: monic orthogonal family for the (q,t)-deformed product, built
@@ -20,8 +27,62 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeffs import ONE, Coeff, Q, T
-from .partitions import Partition, distinct_permutations, partitions_of
+from .partitions import (
+    Partition,
+    distinct_permutations,
+    horizontal_strip_extensions,
+    partitions_of,
+)
 from .tableaux import kostka_poly
+
+
+def _times_one_minus_t(poly: dict[int, int], e: int) -> dict[int, int]:
+    """poly * (1 - t^e) on integer polynomials in t."""
+    out = dict(poly)
+    for k, c in poly.items():
+        out[k + e] = out.get(k + e, 0) - c
+    return out
+
+
+def _strip_psi(outer: Partition, inner: Partition) -> list[int]:
+    """The exponents m_j(inner), j in J, of psi_{outer/inner} for a
+    horizontal strip: J holds the columns j >= 1 that get no new cell
+    while column j+1 does."""
+    filled = [False] * (outer.parts[0] + 2)
+    for old, row in zip(inner.padded(len(outer)), outer.parts):
+        for col in range(old + 1, row + 1):
+            filled[col] = True
+    mult = inner.multiplicities()
+    return [
+        mult[j] for j in range(1, len(filled) - 1) if filled[j + 1] and not filled[j]
+    ]
+
+
+def _hl_terms(lam: Partition) -> dict[Partition, dict[int, int]]:
+    """P_lam over m as integer polynomials in t, from the psi-tableau formula.
+
+    The coefficient of m_mu sums psi_T over the SSYT T of shape lam and
+    content mu, built letter by letter as chains of horizontal strips; the
+    partial sums are kept per intermediate shape, so a shape reached by
+    several chains is extended once.
+    """
+    out = {}
+    for mu in partitions_of(lam.size):
+        layer: dict[Partition, dict[int, int]] = {Partition(): {0: 1}}
+        for cells in mu.parts:
+            nxt: dict[Partition, dict[int, int]] = {}
+            for shape, poly in layer.items():
+                for ext in horizontal_strip_extensions(shape, cells, within=lam):
+                    weighted = poly
+                    for e in _strip_psi(ext, shape):
+                        weighted = _times_one_minus_t(weighted, e)
+                    acc = nxt.setdefault(ext, {})
+                    for e, c in weighted.items():
+                        acc[e] = acc.get(e, 0) + c
+            layer = nxt
+        if lam in layer:
+            out[mu] = layer[lam]
+    return out
 
 
 def _hhl_terms(lam: Partition) -> dict[Partition, dict[tuple[int, int], int]]:
@@ -84,7 +145,9 @@ def register_qt(S) -> None:
     S.register_basis("McdP", "Macdonald P (monic, orthogonal for hall_qt)")
 
     def p_to_m(lam: Partition):
-        return S.gram_schmidt(lam.size, "hall_t")[lam]
+        return S.element(
+            "m", {mu: Coeff.from_t_poly(poly) for mu, poly in _hl_terms(lam).items()}
+        )
 
     def mcd_to_m(lam: Partition):
         n = lam.size
@@ -107,9 +170,11 @@ def register_qt(S) -> None:
         return S.element("m", {mu: v / c_lam for mu, v in j_m.items()})
 
     def q_to_p(lam: Partition):
-        hl = p_to_m(lam)
-        norm = S.scalar(hl, hl, "hall_t")
-        return S.element("P", {lam: ONE / norm})
+        b_lam = {0: 1}
+        for mult in lam.multiplicities().values():
+            for j in range(1, mult + 1):
+                b_lam = _times_one_minus_t(b_lam, j)
+        return S.element("P", {lam: Coeff.from_t_poly(b_lam)})
 
     def qp_to_s(lam: Partition):
         terms: dict[Partition, Coeff] = {}

@@ -19,13 +19,19 @@ column heights alpha_i^(a) = #{parts of nu^(a) >= i}:
 Summing t^cc over all rigged configurations gives the same information
 as the charge generating polynomial, with t inverted and shifted by the
 weight statistic n(mu).
+
+The enumeration picks nu^(1), nu^(2), ... depth-first.  Since the
+vacancies of component a read only nu^(a-1), nu^(a) and nu^(a+1),
+component a is checked as soon as nu^(a+1) is chosen, and a prefix that
+fails is dropped with all its completions; most tuples of shapes are
+never built.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .coeffs import T, ZERO, Coeff
+from .coeffs import Coeff
 from .errors import PartitionError
 from .partitions import Partition, partitions_of
 from .render import boxed_rows
@@ -130,51 +136,72 @@ class RiggedConfiguration:
         return f"RiggedConfiguration(nus={self.nus}, riggings={self.riggings})"
 
 
+def _component_riggings(
+    prev: Partition, cur: Partition, nxt: Partition
+) -> list[tuple[int, ...]] | None:
+    """The riggings of component cur between neighbours prev and nxt, or
+    None when some occupied row size has negative vacancy.
+
+    Equal parts form one group, largest size first, with labels weakly
+    decreasing inside a group; the riggings run over the product of the
+    groups' label choices.
+    """
+    groups: list[list[tuple[int, ...]]] = []
+    for size, count in sorted(cur.multiplicities().items(), reverse=True):
+        p = _q_stat(prev, size) - 2 * _q_stat(cur, size) + _q_stat(nxt, size)
+        if p < 0:
+            return None
+        groups.append(
+            [
+                tuple(sorted(labels, reverse=True))
+                for labels in itertools.combinations_with_replacement(
+                    range(p + 1), count
+                )
+            ]
+        )
+    return [sum(pick, ()) for pick in itertools.product(*groups)]
+
+
 def rigged_configurations(lam: Partition, mu: Partition) -> list[RiggedConfiguration]:
-    """All rigged configurations for the pair (lam, mu)."""
+    """All rigged configurations for the pair (lam, mu).
+
+    Components are chosen depth-first, each from `partitions_of` of its
+    size, so the configurations come out in the order of the product of
+    those lists.  The vacancies of component a depend only on nu^(a-1),
+    nu^(a) and nu^(a+1), so component a is checked as soon as nu^(a+1) is
+    chosen (the last one against the empty partition) and an inadmissible
+    prefix is cut with everything below it.
+    """
     if lam.size != mu.size:
         raise PartitionError(
             f"rigged configurations need equal sizes, got {lam} and {mu}"
         )
     tails = [sum(lam.parts[a:]) for a in range(1, max(len(lam), 1))]
+    # an empty nu after the last component closes the last check
+    sizes = tails + [0]
     out: list[RiggedConfiguration] = []
-    for nus in itertools.product(*(partitions_of(size) for size in tails)):
-        probe = RiggedConfiguration(lam, mu, nus, [(0,) * len(nu) for nu in nus])
-        group_choices: list[list[tuple[int, ...]]] = []
-        admissible = True
-        for a, nu in enumerate(nus, start=1):
-            for size, count in sorted(nu.multiplicities().items(), reverse=True):
-                p = probe.vacancy(a, size)
-                if p < 0:
-                    admissible = False
-                    break
-                group_choices.append(
-                    [
-                        tuple(sorted(labels, reverse=True))
-                        for labels in itertools.combinations_with_replacement(
-                            range(p + 1), count
-                        )
-                    ]
-                )
-            if not admissible:
-                break
-        if not admissible:
-            continue
-        group_shapes = []
-        for a, nu in enumerate(nus, start=1):
-            for size, count in sorted(nu.multiplicities().items(), reverse=True):
-                group_shapes.append((a - 1, size, count))
-        for pick in itertools.product(*group_choices):
-            riggings: list[list[int]] = [[] for _ in nus]
-            for (comp, _size, _count), labels in zip(group_shapes, pick):
-                riggings[comp].extend(labels)
-            out.append(RiggedConfiguration(lam, mu, nus, riggings))
+
+    def extend(chain: list[Partition], riggings: list[list[tuple[int, ...]]]):
+        # chain is mu = nu^(0), nu^(1), ..., nu^(a); riggings holds those of
+        # components 1 .. a-1, each checked when its successor was chosen
+        if len(chain) == len(sizes) + 1:
+            for pick in itertools.product(*riggings):
+                out.append(RiggedConfiguration(lam, mu, chain[1:-1], pick))
+            return
+        for nu in partitions_of(sizes[len(chain) - 1]):
+            if len(chain) == 1:
+                extend(chain + [nu], riggings)
+            elif (found := _component_riggings(chain[-2], chain[-1], nu)) is not None:
+                extend(chain + [nu], riggings + [found])
+
+    extend([mu], [])
     return out
 
 
 def rc_kostka(lam: Partition, mu: Partition) -> Coeff:
     """Generating polynomial of cocharge over rigged configurations."""
-    total = ZERO
+    counts: dict[int, int] = {}
     for rc in rigged_configurations(lam, mu):
-        total = total + T ** rc.cocharge()
-    return total
+        cc = rc.cocharge()
+        counts[cc] = counts.get(cc, 0) + 1
+    return Coeff.from_t_poly(counts)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .coeffs import ONE, T, ZERO, Coeff
+from .coeffs import Coeff
 from .errors import TableauError
 from .partitions import Partition, horizontal_strip_extensions
 from .render import boxed_rows
@@ -274,7 +274,8 @@ def kostka_poly(shape: Partition, weight: Sequence[int]) -> Coeff:
         raise TableauError(
             f"weight of size {sum(weight)} cannot fill shape {shape} of size {shape.size}"
         )
-    total = ZERO
+    counts: dict[int, int] = {}
     for tab in ssyt(shape, weight):
-        total = total + T ** charge(tab)
-    return total
+        c = charge(tab)
+        counts[c] = counts.get(c, 0) + 1
+    return Coeff.from_t_poly(counts)

@@ -180,7 +180,7 @@ def test_criterion_6_kostka_cross_validation(S):
     inv_t = ONE / T
     for n in range(1, 7):
         # Route 1: inverse-transpose of the Schur expansion of the
-        # Gram-Schmidt Hall-Littlewood family.
+        # Hall-Littlewood family built from the psi-tableau formula.
         schur_in_p = S.conversion_matrix("P", "s", n)
         gram_schmidt_k = schur_in_p.transpose().invert("kostka")
         for lam in partitions_of(n):

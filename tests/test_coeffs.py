@@ -6,7 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
+from qtsym.coeffs import (
+    ONE,
+    Q,
+    T,
+    ZERO,
+    Coeff,
+    _biv_divides,
+    _biv_heugcd,
+    _biv_to_layers,
+    _int_biv_gcd,
+    _int_strip_content,
+    _layers_prem,
+    _layers_to_biv,
+    _poly_mul,
+    _uni_prem,
+)
 from qtsym.errors import CoefficientError
 
 
@@ -207,3 +222,132 @@ def test_equal_implies_equal_hash(a, b):
     assert hash((a + b) - b) == hash(a)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- the primitive remainder sequence behind the heuristic GCD ------------
+# _poly_gcd tries the evaluation GCD first and that succeeds on everything
+# the engine builds, so these call the fallback directly.
+
+
+def _int_poly(**monos) -> dict:
+    """{'q^a*t^b'-style key: int} as an integer bivariate dict."""
+    out = {}
+    for key, val in monos.items():
+        eq = et = 0
+        for factor in key.split("_"):
+            if factor == "1":
+                continue
+            name, _, exp = factor.partition("^")
+            if name == "q":
+                eq += int(exp) if exp else 1
+            else:
+                et += int(exp) if exp else 1
+        out[(eq, et)] = val
+    return out
+
+
+def _same_up_to_sign(got: dict, want: dict) -> bool:
+    return got == want or got == {m: -c for m, c in want.items()}
+
+
+F_COMMON = _int_poly(**{"1": 1, "q_t": 1, "t^2": 2})  # 1 + qt + 2t^2
+G_COPRIME = _int_poly(**{"1": 1, "q": 1, "t": 1})  # 1 + q + t
+H_COPRIME = _int_poly(**{"1": 3, "q^2_t": 1, "t^2": -1})  # 3 + q^2 t - t^2
+
+
+def test_prs_gcd_finds_common_bivariate_factor():
+    a = _poly_mul(F_COMMON, G_COPRIME)
+    b = _poly_mul(F_COMMON, H_COPRIME)
+    assert _same_up_to_sign(_int_biv_gcd(a, b), F_COMMON)
+    assert _same_up_to_sign(_int_biv_gcd(b, a), F_COMMON)
+
+
+def test_prs_gcd_keeps_t_content():
+    # 1 + q divides every t-layer of both inputs: it is found as the gcd of
+    # the t-contents and multiplied back onto the primitive gcd
+    content = _int_poly(**{"1": 1, "q": 1})
+    a = _poly_mul(content, _poly_mul(F_COMMON, G_COPRIME))
+    b = _poly_mul(content, _poly_mul(F_COMMON, H_COPRIME))
+    assert _same_up_to_sign(_int_biv_gcd(a, b), _poly_mul(content, F_COMMON))
+    # only the content in common
+    a = _poly_mul(content, G_COPRIME)
+    b = _poly_mul(content, H_COPRIME)
+    assert _same_up_to_sign(_int_biv_gcd(a, b), content)
+
+
+def test_prs_gcd_of_coprime_inputs_is_one():
+    assert _same_up_to_sign(_int_biv_gcd(G_COPRIME, H_COPRIME), {(0, 0): 1})
+    assert _same_up_to_sign(
+        _int_biv_gcd(_poly_mul(G_COPRIME, G_COPRIME), H_COPRIME), {(0, 0): 1}
+    )
+
+
+def test_prs_gcd_with_inputs_free_of_t():
+    one_plus_q = _int_poly(**{"1": 1, "q": 1})
+    two_minus_q = _int_poly(**{"1": 2, "q": -1})
+    only_q = _poly_mul(one_plus_q, two_minus_q)
+    with_t = _poly_mul(one_plus_q, G_COPRIME)
+    assert _same_up_to_sign(_int_biv_gcd(only_q, with_t), one_plus_q)
+    assert _same_up_to_sign(_int_biv_gcd(with_t, only_q), one_plus_q)
+    other = _poly_mul(one_plus_q, _int_poly(**{"1": 3, "q^2": 1}))
+    assert _same_up_to_sign(_int_biv_gcd(only_q, other), one_plus_q)
+
+
+def test_layers_pseudo_remainder():
+    # over Z[q][t]: prem(t^2 + q, q t + 1) = q^2 * (t^2 + q) mod (q t + 1)
+    #             = q^3 + 1
+    f = _biv_to_layers(_int_poly(**{"t^2": 1, "q": 1}))
+    g = _biv_to_layers(_int_poly(**{"q_t": 1, "1": 1}))
+    assert _layers_to_biv(_layers_prem(f, g)) == _int_poly(**{"q^3": 1, "1": 1})
+    # an exact divisor leaves no remainder
+    fg = _biv_to_layers(_poly_mul(F_COMMON, G_COPRIME))
+    assert _layers_prem(fg, _biv_to_layers(G_COPRIME)) == {}
+
+
+def test_univariate_pseudo_remainder():
+    # prem(x^2 + 1, 2x + 1) = 4(x^2 + 1) mod (2x + 1) = 5
+    assert _uni_prem({2: 1, 0: 1}, {1: 2, 0: 1}) == {0: 5}
+    # (x - 1)(x + 2) by x - 1 leaves nothing
+    assert _uni_prem({2: 1, 1: 1, 0: -2}, {1: 1, 0: -1}) == {}
+
+
+int_coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
+int_polys = st.dictionaries(exponents, int_coeffs, min_size=1, max_size=4).map(
+    lambda d: {**d, (0, 0): d.get((0, 0), 0) or 1}
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_polys, int_polys, int_polys)
+def test_prs_gcd_agrees_with_heuristic_gcd(f, g, h):
+    a = _int_strip_content(_poly_mul(f, g))
+    b = _int_strip_content(_poly_mul(f, h))
+    fast = _biv_heugcd(a, b)
+    slow = _int_biv_gcd(a, b)
+    for factor in (a, b):
+        assert _biv_divides(_int_strip_content(slow), factor)
+    if fast is not None:
+        assert _same_up_to_sign(_int_strip_content(slow), fast)
+
+
+def _to_sympy(c: Coeff, q, t):
+    def expr(poly):
+        return sum(
+            v.numerator * q**eq * t**et / v.denominator
+            for (eq, et), v in poly.items()
+        )
+
+    return expr(c.numerator_terms()) / expr(c.denominator_terms())
+
+
+@settings(max_examples=40, deadline=None)
+@given(fractions_qt, fractions_qt)
+def test_arithmetic_matches_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+    sa, sb = _to_sympy(a, q, t), _to_sympy(b, q, t)
+    assert sympy.cancel(_to_sympy(a + b, q, t) - (sa + sb)) == 0
+    assert sympy.cancel(_to_sympy(a - b, q, t) - (sa - sb)) == 0
+    assert sympy.cancel(_to_sympy(a * b, q, t) - sa * sb) == 0
+    if not b.is_zero():
+        assert sympy.cancel(_to_sympy(a / b, q, t) - sa / sb) == 0

@@ -17,6 +17,32 @@ def test_hall_littlewood_p_goldens(S):
     assert coeff == (1 - T) * (2 + T)
 
 
+def test_hall_littlewood_p21_golden(S):
+    assert S.convert(S["P"]([2, 1]), "m") == S["m"]([2, 1]) + S["m"](
+        [1, 1, 1]
+    ).scaled(2 - T - T**2)
+
+
+def test_hall_littlewood_psi_formula_matches_gram_schmidt_oracle(S):
+    # the P -> m edge comes from the psi-tableau formula; the hall_t
+    # Gram-Schmidt is an independent construction of the same family
+    for n in range(7):
+        oracle = S.gram_schmidt(n, "hall_t")
+        for lam in partitions_of(n):
+            got = S.convert(S.element("P", lam), "m")
+            assert got.terms == oracle[lam].terms, lam
+
+
+def test_q_to_p_closed_form_matches_inverse_norm(S):
+    # Q_lam = P_lam / <P_lam, P_lam>_t, with P_lam from the Gram-Schmidt oracle
+    for n in range(6):
+        oracle = S.gram_schmidt(n, "hall_t")
+        for lam in partitions_of(n):
+            norm = S.scalar(oracle[lam], oracle[lam], "hall_t")
+            got = S.convert(S.element("Q", lam), "P")
+            assert got.terms == {lam: ONE / norm}, lam
+
+
 def test_hall_littlewood_at_t_zero_is_schur(S):
     for n in range(6):
         for lam in partitions_of(n):

@@ -1,5 +1,7 @@
 """Rigged configurations: enumeration, validation, cocharge statistics."""
 
+import itertools
+
 import pytest
 
 from qtsym.coeffs import ONE, T
@@ -66,6 +68,44 @@ def test_cocharge_statistic_matches_charge():
                 charge_side = kostka_poly(lam, mu.parts)
                 expected = T ** mu.n_stat() * charge_side.substitute(t=ONE / T)
                 assert rc_kostka(lam, mu) == expected, (lam, mu)
+
+
+def _brute_force_configurations(lam, mu):
+    """Every tuple of component shapes, then every rigging, kept when valid."""
+    tails = [sum(lam.parts[a:]) for a in range(1, max(len(lam), 1))]
+    out = []
+    for nus in itertools.product(*(partitions_of(size) for size in tails)):
+        probe = RiggedConfiguration(lam, mu, nus, [(0,) * len(nu) for nu in nus])
+        groups, owners = [], []
+        for a, nu in enumerate(nus, start=1):
+            for size, count in sorted(nu.multiplicities().items(), reverse=True):
+                p = probe.vacancy(a, size)
+                groups.append(
+                    [
+                        tuple(sorted(labels, reverse=True))
+                        for labels in itertools.combinations_with_replacement(
+                            range(max(p, 0) + 1), count
+                        )
+                    ]
+                )
+                owners.append(a - 1)
+        for pick in itertools.product(*groups):
+            riggings = [[] for _ in nus]
+            for comp, labels in zip(owners, pick):
+                riggings[comp].extend(labels)
+            rc = RiggedConfiguration(lam, mu, nus, riggings)
+            if rc.validate():
+                out.append((rc.nus, rc.riggings))
+    return out
+
+
+def test_pruned_enumeration_matches_brute_force():
+    # same configurations in the same order as the full product of shapes
+    for n in range(7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                got = [(rc.nus, rc.riggings) for rc in rigged_configurations(lam, mu)]
+                assert got == _brute_force_configurations(lam, mu), (lam, mu)
 
 
 def test_enumerated_configurations_validate():
