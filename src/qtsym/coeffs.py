@@ -1,42 +1,42 @@
 """Exact arithmetic in the field Q(q,t).
 
 A coefficient is a quotient of two polynomials in the deformation
-parameters q and t with rational coefficients.  Polynomials are sparse
-dicts mapping an exponent pair (eq, et) to a nonzero Fraction.  Every
+parameters q and t with integer coefficients.  Polynomials are sparse
+dicts mapping an exponent pair (eq, et) to a nonzero int; rational input
+is cleared of its denominators once, when a Coeff is built from it.  Every
 Coeff is kept in a canonical form:
 
-* numerator and denominator share no polynomial factor (their GCD is 1),
-* the denominator's leading coefficient is 1, where "leading" means the
-  largest monomial in graded lexicographic order with t weighted above q,
+* numerator and denominator are coprime in Z[q,t]: they share no
+  polynomial factor and no integer factor,
+* the denominator's leading coefficient is positive, where "leading" means
+  the largest monomial in graded lexicographic order with t weighted above q,
 * a zero numerator forces denominator 1.
 
-Canonical form makes equality a plain structural comparison, so Coeff
-values can key dicts and land in sets.  All operations are exact; nothing
-here ever rounds.
+The form is unique, so equality is a plain structural comparison and
+Coeff values can key dicts and land in sets.  `numerator_terms()` and
+`denominator_terms()` present the same value with the denominator scaled
+monic and Fraction coefficients, the form rendering uses.  All operations
+are exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 
 from .errors import CoefficientError
 
 Monomial = tuple[int, int]
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int]
 
-_ZERO_POLY: Poly = {}
-_ONE_POLY: Poly = {(0, 0): Fraction(1)}
+_ONE_POLY: Poly = {(0, 0): 1}
 
 
 def _mono_key(mono: Monomial) -> tuple[int, int]:
     # Graded lex with t more significant than q.
     eq, et = mono
     return (eq + et, et)
-
-
-def _poly_const(value: Fraction) -> Poly:
-    return {} if value == 0 else {(0, 0): Fraction(value)}
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -69,31 +69,28 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _poly_scale(a: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return {}
-    return {mono: coef * c for mono, coef in a.items()}
-
-
 def _poly_lead(a: Poly) -> Monomial:
     return max(a, key=_mono_key)
 
 
 def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Divide a by b assuming the division is exact."""
-    if not a:
-        return {}
+    """Divide a by b in Z[q,t] assuming the division is exact."""
+    if len(b) == 1:
+        ((bq, bt), cb), = b.items()
+        return {(eq - bq, et - bt): c // cb for (eq, et), c in a.items()}
+    # any monomial order works for division: plain tuple order (lex, q
+    # first) needs no key function
     quot: Poly = {}
     rem = dict(a)
-    lead_b = _poly_lead(b)
+    lead_b = max(b)
     lc_b = b[lead_b]
     while rem:
-        lead_r = _poly_lead(rem)
+        lead_r = max(rem)
         dq = lead_r[0] - lead_b[0]
         dt = lead_r[1] - lead_b[1]
-        if dq < 0 or dt < 0:
+        c, r = divmod(rem[lead_r], lc_b)
+        if dq < 0 or dt < 0 or r:
             raise ArithmeticError("inexact polynomial division")
-        c = rem[lead_r] / lc_b
         quot[(dq, dt)] = c
         for (bq, bt), cb in b.items():
             mono = (bq + dq, bt + dt)
@@ -106,8 +103,8 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# GCD machinery.  Strategy: clear rational content to get primitive integer
-# polynomials, peel off the monomial content, then run a primitive
+# GCD machinery.  Strategy: split off the integer and monomial contents to
+# get primitive integer polynomials, then run a primitive
 # polynomial remainder sequence viewing each polynomial as a polynomial in
 # t whose coefficients are integer polynomials in q.
 
@@ -173,9 +170,7 @@ def _uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 def _uni_primitive(p: UniPoly) -> UniPoly:
     if not p:
         return {}
-    g = 0
-    for c in p.values():
-        g = _int_gcd(g, abs(c))
+    g = _int_gcd(*p.values())
     if p[max(p)] < 0:
         g = -g
     return {e: c // g for e, c in p.items()}
@@ -253,14 +248,14 @@ def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
 IntBiv = dict[int, UniPoly]  # t-exponent -> integer polynomial in q
 
 
-def _biv_to_layers(p: dict[Monomial, int]) -> IntBiv:
+def _biv_to_layers(p: Poly) -> IntBiv:
     layers: IntBiv = {}
     for (eq, et), c in p.items():
         layers.setdefault(et, {})[eq] = c
     return layers
 
 
-def _layers_to_biv(layers: IntBiv) -> dict[Monomial, int]:
+def _layers_to_biv(layers: IntBiv) -> Poly:
     return {(eq, et): c for et, layer in layers.items() for eq, c in layer.items()}
 
 
@@ -349,19 +344,14 @@ def _layers_prem(a: IntBiv, b: IntBiv) -> IntBiv:
     return r
 
 
-IntPoly = dict[Monomial, int]
-
-
-def _int_strip_content(p: IntPoly) -> IntPoly:
-    g = 0
-    for c in p.values():
-        g = _int_gcd(g, abs(c))
+def _int_strip_content(p: Poly) -> Poly:
+    g = _int_gcd(*p.values())
     if g > 1:
         return {m: c // g for m, c in p.items()}
     return p
 
 
-def _biv_eval_t(p: IntPoly, x: int) -> UniPoly:
+def _biv_eval_t(p: Poly, x: int) -> UniPoly:
     """Substitute the integer x for t, leaving a polynomial in q."""
     powers: dict[int, int] = {0: 1}
     out: UniPoly = {}
@@ -378,10 +368,10 @@ def _biv_eval_t(p: IntPoly, x: int) -> UniPoly:
     return out
 
 
-def _biv_lift_t(image: UniPoly, x: int) -> IntPoly:
+def _biv_lift_t(image: UniPoly, x: int) -> Poly:
     """Rebuild t-coefficients from the balanced base-x digits of each
     q-coefficient."""
-    out: IntPoly = {}
+    out: Poly = {}
     for eq, value in image.items():
         for et, d in enumerate(_balanced_digits(value, x)):
             if d:
@@ -389,13 +379,13 @@ def _biv_lift_t(image: UniPoly, x: int) -> IntPoly:
     return out
 
 
-def _biv_divides(d: IntPoly, f: IntPoly) -> bool:
+def _biv_divides(d: Poly, f: Poly) -> bool:
     """Exact-division test for primitive integer bivariate polynomials."""
     rem = dict(f)
-    ld = max(d, key=_mono_key)
+    ld = max(d)  # lex order, as in _poly_divexact
     dl = d[ld]
     while rem:
-        lr = max(rem, key=_mono_key)
+        lr = max(rem)
         dq, dt = lr[0] - ld[0], lr[1] - ld[1]
         if dq < 0 or dt < 0:
             return False
@@ -415,14 +405,7 @@ def _biv_divides(d: IntPoly, f: IntPoly) -> bool:
     return True
 
 
-def _uni_int_content(p: UniPoly) -> int:
-    g = 0
-    for c in p.values():
-        g = _int_gcd(g, abs(c))
-    return g
-
-
-def _biv_heugcd(f: IntPoly, g: IntPoly) -> IntPoly | None:
+def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
     """Heuristic GCD of primitive integer bivariate polynomials, or None."""
     norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
     x = 2 * norm + 29
@@ -431,7 +414,7 @@ def _biv_heugcd(f: IntPoly, g: IntPoly) -> IntPoly | None:
         if fi and gi:
             # the integer content of the images encodes any t-only factors
             # of the GCD, so it must be folded back in before lifting
-            cont = _int_gcd(_uni_int_content(fi), _uni_int_content(gi))
+            cont = _int_gcd(*fi.values(), *gi.values())
             image = _uni_gcd(fi, gi)
             if cont > 1:
                 image = {e: c * cont for e, c in image.items()}
@@ -442,7 +425,7 @@ def _biv_heugcd(f: IntPoly, g: IntPoly) -> IntPoly | None:
     return None
 
 
-def _int_biv_gcd(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+def _int_biv_gcd(a: Poly, b: Poly) -> Poly:
     """GCD of primitive integer bivariate polynomials, up to sign."""
     la, lb = _biv_to_layers(a), _biv_to_layers(b)
     deg_a = max(la) if la else -1
@@ -479,57 +462,50 @@ def _int_biv_gcd(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomia
     return result
 
 
-def _poly_to_int(p: Poly) -> dict[Monomial, int]:
-    """Scale a rational polynomial to a primitive integer polynomial."""
-    denom_lcm = 1
-    for c in p.values():
-        denom_lcm = denom_lcm * c.denominator // _int_gcd(denom_lcm, c.denominator)
-    ints = {mono: int(c * denom_lcm) for mono, c in p.items()}
-    g = 0
-    for c in ints.values():
-        g = _int_gcd(g, abs(c))
-    return {mono: c // g for mono, c in ints.items()}
-
-
 _GCD_CACHE: dict[tuple, Poly] = {}
 _GCD_CACHE_LIMIT = 50000
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD of rational bivariate polynomials, normalized to lead coeff 1."""
+    """GCD in Z[q,t] of nonzero polynomials, with a positive leading
+    coefficient: the gcd of the integer contents times the gcd of the
+    primitive parts.  Callers must not mutate the result, which may be
+    shared through the cache."""
     if not a or not b:
         return {}
     if len(a) == 1 or len(b) == 1:
-        # a monomial factor: take componentwise minimum exponents
+        # a monomial factor: componentwise minimum exponents
         mq = min(min(eq for eq, _ in a), min(eq for eq, _ in b))
         mt = min(min(et for _, et in a), min(et for _, et in b))
-        return {(mq, mt): Fraction(1)}
+        c = _int_gcd(*a.values(), *b.values())
+        return _ONE_POLY if c == 1 and not mq and not mt else {(mq, mt): c}
     fa = tuple(sorted(a.items()))
     fb = tuple(sorted(b.items()))
     key = (fa, fb) if fa <= fb else (fb, fa)
     cached = _GCD_CACHE.get(key)
     if cached is not None:
-        return dict(cached)
+        return cached
     min_aq = min(eq for eq, _ in a)
     min_at = min(et for _, et in a)
     min_bq = min(eq for eq, _ in b)
     min_bt = min(et for _, et in b)
     mq, mt = min(min_aq, min_bq), min(min_at, min_bt)
-    ia = _poly_to_int({(eq - min_aq, et - min_at): c for (eq, et), c in a.items()})
-    ib = _poly_to_int({(eq - min_bq, et - min_bt): c for (eq, et), c in b.items()})
+    ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
+    ia = {(eq - min_aq, et - min_at): c // ca for (eq, et), c in a.items()}
+    ib = {(eq - min_bq, et - min_bt): c // cb for (eq, et), c in b.items()}
     if ia == ib:
         core = ia
     else:
         core = _biv_heugcd(ia, ib)
         if core is None:
             core = _int_biv_gcd(ia, ib)
-    out = {(eq + mq, et + mt): Fraction(c) for (eq, et), c in core.items()}
-    lead = out[_poly_lead(out)]
-    if lead != 1:
-        out = _poly_scale(out, 1 / lead)
+    scale = _int_gcd(ca, cb)
+    if core[_poly_lead(core)] < 0:
+        scale = -scale
+    out = {(eq + mq, et + mt): c * scale for (eq, et), c in core.items()}
     if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
         _GCD_CACHE.clear()
-    _GCD_CACHE[key] = dict(out)
+    _GCD_CACHE[key] = out
     return out
 
 
@@ -537,31 +513,38 @@ def _poly_is_one(p: Poly) -> bool:
     return len(p) == 1 and p.get((0, 0)) == 1
 
 
-def _make_monic(num: Poly, den: Poly) -> "Coeff":
-    """Package an already-coprime pair with the denominator scaled monic."""
-    if not num:
-        return ZERO
-    lead = den[_poly_lead(den)]
-    if lead != 1:
-        inv = 1 / lead
-        num = _poly_scale(num, inv)
-        den = _poly_scale(den, inv)
-    if _poly_is_one(den):
-        den = _ONE_POLY
-    return Coeff(num, den, reduced=True)
+def _poly_is_const(p: Poly) -> bool:
+    return len(p) == 1 and (0, 0) in p
 
 
-def _reduced_over(num: Poly, den: Poly, g: Poly) -> "Coeff":
-    """num/den with the common factor g cancelled."""
+def _make(num: Poly, den: Poly) -> "Coeff":
+    """Package a pair that is already in canonical form."""
+    c = object.__new__(Coeff)
+    c.num = num
+    c.den = _ONE_POLY if _poly_is_one(den) else den
+    c._hash = None
+    return c
+
+
+def _canonical(num: Poly, den: Poly, g: Poly) -> "Coeff":
+    """num/den in canonical form, where g is gcd(num, den): divide g out
+    and move the sign so that the denominator's leading coefficient is
+    positive.  The one canonicalisation step; only results canonical by
+    construction (constants, negations, products of polynomials) skip it."""
     if not num:
         return ZERO
     if not _poly_is_one(g):
         num = _poly_divexact(num, g)
         den = _poly_divexact(den, g)
-    return _make_monic(num, den)
+    if den[_poly_lead(den)] < 0:
+        num = _poly_neg(num)
+        den = _poly_neg(den)
+    return _make(num, den)
 
 
-def _poly_render(p: Poly, qname: str = "q", tname: str = "t") -> str:
+def _poly_render(
+    p: dict[Monomial, Fraction], qname: str = "q", tname: str = "t"
+) -> str:
     if not p:
         return "0"
     monos = sorted(p, key=_mono_key, reverse=True)
@@ -599,31 +582,15 @@ class Coeff:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: Poly, den: Poly = _ONE_POLY, *, reduced: bool = False):
+    def __init__(self, num: dict, den: dict = _ONE_POLY):
+        """num/den from dicts of int or Fraction coefficients."""
+        scale = _int_lcm(*(c.denominator for c in (*num.values(), *den.values())))
+        num = {m: c.numerator * (scale // c.denominator) for m, c in num.items() if c}
+        den = {m: c.numerator * (scale // c.denominator) for m, c in den.items() if c}
         if not den:
             raise CoefficientError("division by zero in Q(q,t)")
-        if reduced or _poly_is_one(den):
-            if not num or _poly_is_one(den):
-                den = _ONE_POLY
-            self.num = num
-            self.den = den
-        else:
-            if not num:
-                self.num = {}
-                self.den = _ONE_POLY
-            else:
-                g = _poly_gcd(num, den)
-                if not _poly_is_one(g):
-                    num = _poly_divexact(num, g)
-                    den = _poly_divexact(den, g)
-                lead = den[_poly_lead(den)]
-                if lead != 1:
-                    inv = 1 / lead
-                    num = _poly_scale(num, inv)
-                    den = _poly_scale(den, inv)
-                self.num = num
-                self.den = _ONE_POLY if _poly_is_one(den) else den
-        self._hash = None
+        c = _canonical(num, den, _poly_gcd(num, den))
+        self.num, self.den, self._hash = c.num, c.den, None
 
     # -- constructors ------------------------------------------------------
 
@@ -632,20 +599,22 @@ class Coeff:
         if isinstance(value, Coeff):
             return value
         if isinstance(value, (int, Fraction)):
-            return cls(_poly_const(Fraction(value)), _ONE_POLY, reduced=True)
+            if not value:
+                return ZERO
+            return _make({(0, 0): value.numerator}, {(0, 0): value.denominator})
         raise TypeError(f"cannot build a Q(q,t) coefficient from {value!r}")
 
     @classmethod
     def from_t_poly(cls, poly: dict[int, int]) -> "Coeff":
         """The integer polynomial sum of c t^e, given as {e: c}."""
-        return cls({(0, e): Fraction(c) for e, c in poly.items() if c})
+        return _make({(0, e): c for e, c in poly.items() if c}, _ONE_POLY)
 
     @classmethod
     def var(cls, name: str) -> "Coeff":
         if name == "q":
-            return cls({(1, 0): Fraction(1)}, _ONE_POLY, reduced=True)
+            return Q
         if name == "t":
-            return cls({(0, 1): Fraction(1)}, _ONE_POLY, reduced=True)
+            return T
         raise CoefficientError(f"unknown variable {name!r}; the field has q and t")
 
     # -- predicates --------------------------------------------------------
@@ -657,7 +626,7 @@ class Coeff:
         return _poly_is_one(self.num) and _poly_is_one(self.den)
 
     def is_polynomial(self) -> bool:
-        return _poly_is_one(self.den)
+        return _poly_is_const(self.den)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -673,39 +642,29 @@ class Coeff:
         if not other.num:
             return self
         da, db = self.den, other.den
-        if _poly_is_one(da) and _poly_is_one(db):
-            return Coeff(_poly_add(self.num, other.num), _ONE_POLY, reduced=True)
         if da == db:
             num = _poly_add(self.num, other.num)
-            return _reduced_over(num, da, _poly_gcd(num, da))
+            if not num or _poly_is_one(da):
+                return _canonical(num, da, _ONE_POLY)
+            return _canonical(num, da, _poly_gcd(num, da))
         # reduce against gcd(da, db) only: with na/da and nb/db already in
         # lowest terms, any common factor of the combined numerator and
         # denominator must divide g
         g = _poly_gcd(da, db)
         if _poly_is_one(g):
-            num = _poly_add(
-                _poly_mul(self.num, db), _poly_mul(other.num, da)
-            )
-            return Coeff(num, _poly_mul(da, db), reduced=True)
+            num = _poly_add(_poly_mul(self.num, db), _poly_mul(other.num, da))
+            return _canonical(num, _poly_mul(da, db), _ONE_POLY)
         da_red = _poly_divexact(da, g)
         db_red = _poly_divexact(db, g)
-        num = _poly_add(
-            _poly_mul(self.num, db_red), _poly_mul(other.num, da_red)
-        )
+        num = _poly_add(_poly_mul(self.num, db_red), _poly_mul(other.num, da_red))
         if not num:
             return ZERO
-        h = _poly_gcd(num, g)
-        if _poly_is_one(h):
-            return _make_monic(num, _poly_mul(da, db_red))
-        return _make_monic(
-            _poly_divexact(num, h),
-            _poly_mul(_poly_divexact(da, h), db_red),
-        )
+        return _canonical(num, _poly_mul(da, db_red), _poly_gcd(num, g))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Coeff":
-        return Coeff(_poly_neg(self.num), self.den, reduced=True)
+        return _make(_poly_neg(self.num), self.den)
 
     def __sub__(self, other) -> "Coeff":
         other = _coerce(other)
@@ -725,36 +684,24 @@ class Coeff:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        if _poly_is_one(self.den) and _poly_is_one(other.den):
-            return Coeff(_poly_mul(self.num, other.num), _ONE_POLY, reduced=True)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if _poly_is_one(d1) and _poly_is_one(d2):
+            return _make(_poly_mul(n1, n2), _ONE_POLY)
         # cross-reduce before multiplying to keep intermediates small
-        g1 = _poly_gcd(self.num, other.den)
-        g2 = _poly_gcd(other.num, self.den)
-        n1 = self.num if _poly_is_one(g1) else _poly_divexact(self.num, g1)
-        d2 = other.den if _poly_is_one(g1) else _poly_divexact(other.den, g1)
-        n2 = other.num if _poly_is_one(g2) else _poly_divexact(other.num, g2)
-        d1 = self.den if _poly_is_one(g2) else _poly_divexact(self.den, g2)
-        num = _poly_mul(n1, n2)
-        den = _poly_mul(d1, d2)
-        lead = den[_poly_lead(den)]
-        if lead != 1:
-            inv = 1 / lead
-            num = _poly_scale(num, inv)
-            den = _poly_scale(den, inv)
-        return Coeff(num, den, reduced=True)
+        g1 = _poly_gcd(n1, d2)
+        if not _poly_is_one(g1):
+            n1, d2 = _poly_divexact(n1, g1), _poly_divexact(d2, g1)
+        g2 = _poly_gcd(n2, d1)
+        if not _poly_is_one(g2):
+            n2, d1 = _poly_divexact(n2, g2), _poly_divexact(d1, g2)
+        return _canonical(_poly_mul(n1, n2), _poly_mul(d1, d2), _ONE_POLY)
 
     __rmul__ = __mul__
 
     def _inv(self) -> "Coeff":
         if not self.num:
             raise CoefficientError("division by zero in Q(q,t)")
-        num, den = self.den, self.num
-        lead = den[_poly_lead(den)]
-        if lead != 1:
-            inv = 1 / lead
-            num = _poly_scale(num, inv)
-            den = _poly_scale(den, inv)
-        return Coeff(num, den, reduced=True)
+        return _canonical(self.den, self.num, _ONE_POLY)
 
     def __truediv__(self, other) -> "Coeff":
         other = _coerce(other)
@@ -791,8 +738,8 @@ class Coeff:
     def __hash__(self) -> int:
         # constants compare equal to int and Fraction, so they hash alike
         if self._hash is None:
-            if _poly_is_one(self.den) and self.num.keys() <= {(0, 0)}:
-                self._hash = hash(self.num.get((0, 0), 0))
+            if self.num.keys() <= {(0, 0)} and _poly_is_const(self.den):
+                self._hash = hash(self.as_fraction())
             else:
                 self._hash = hash(
                     (frozenset(self.num.items()), frozenset(self.den.items()))
@@ -822,37 +769,44 @@ class Coeff:
 
     # -- inspection and rendering ------------------------------------------
 
-    def numerator_terms(self) -> Poly:
-        return dict(self.num)
+    def _monic(self, p: Poly) -> dict[Monomial, Fraction]:
+        # p over the denominator's leading coefficient
+        lc = self.den[_poly_lead(self.den)]
+        return {mono: Fraction(c, lc) for mono, c in p.items()}
 
-    def denominator_terms(self) -> Poly:
-        return dict(self.den)
+    def numerator_terms(self) -> dict[Monomial, Fraction]:
+        """Numerator terms, for the denominator scaled to leading coeff 1."""
+        return self._monic(self.num)
 
-    def poly_terms(self) -> Poly:
+    def denominator_terms(self) -> dict[Monomial, Fraction]:
+        """Denominator terms, scaled to leading coefficient 1."""
+        return self._monic(self.den)
+
+    def poly_terms(self) -> dict[Monomial, Fraction]:
         """The terms of a polynomial coefficient; error if truly fractional."""
-        if not _poly_is_one(self.den):
+        if not _poly_is_const(self.den):
             raise CoefficientError("coefficient is not a polynomial")
-        return dict(self.num)
+        return self._monic(self.num)
 
     def as_fraction(self) -> Fraction:
         """The rational value of a constant coefficient."""
         if not self.num:
             return Fraction(0)
-        if self.num.keys() == {(0, 0)} and _poly_is_one(self.den):
-            return self.num[(0, 0)]
+        if self.num.keys() == {(0, 0)} and _poly_is_const(self.den):
+            return Fraction(self.num[(0, 0)], self.den[(0, 0)])
         raise CoefficientError("coefficient is not a rational constant")
 
     def is_single_term(self) -> bool:
         """True when rendering needs no parentheses inside a product."""
-        return _poly_is_one(self.den) and len(self.num) <= 1
+        return _poly_is_const(self.den) and len(self.num) <= 1
 
     def render(self, qname: str = "q", tname: str = "t") -> str:
-        num_text = _poly_render(self.num, qname, tname)
-        if _poly_is_one(self.den):
+        num_text = _poly_render(self.numerator_terms(), qname, tname)
+        if _poly_is_const(self.den):
             return num_text
         if len(self.num) > 1:
             num_text = f"({num_text})"
-        den_text = _poly_render(self.den, qname, tname)
+        den_text = _poly_render(self.denominator_terms(), qname, tname)
         if len(self.den) > 1 or "*" in den_text:
             den_text = f"({den_text})"
         return f"{num_text}/{den_text}"
@@ -892,7 +846,7 @@ def _poly_eval(p: Poly, qv: Coeff, tv: Coeff) -> Coeff:
     return total
 
 
-ZERO = Coeff(_ZERO_POLY, _ONE_POLY, reduced=True)
-ONE = Coeff(dict(_ONE_POLY), _ONE_POLY, reduced=True)
-Q = Coeff({(1, 0): Fraction(1)}, _ONE_POLY, reduced=True)
-T = Coeff({(0, 1): Fraction(1)}, _ONE_POLY, reduced=True)
+ZERO = _make({}, _ONE_POLY)
+ONE = _make({(0, 0): 1}, _ONE_POLY)
+Q = _make({(1, 0): 1}, _ONE_POLY)
+T = _make({(0, 1): 1}, _ONE_POLY)

@@ -19,6 +19,12 @@ Brackets, calls and unary minus nest at most MAX_NESTING levels deep;
 deeper input is a syntax error rather than a stack overflow.  Chains of
 binary operators may be any length.
 
+Symmetric functions are bounded at degree MAX_DEGREE = 12: a basis element
+literal, a product of elements or a power of an element whose degree would
+exceed it is an error raised before any computation starts, so a typo such
+as ``McdP[13]`` or ``s[7]*s[7]`` fails at once instead of starting a run
+whose cost grows steeply with the degree.
+
 Names resolve at evaluation time against the registry, so bases
 registered after parsing still work.  ``to_<basis>(f)`` converts,
 ``scalar``/``scalar_t``/``scalar_qt`` take the three inner products, and
@@ -37,6 +43,7 @@ from .partitions import Partition
 _SYMBOLS = "+-*/^()[],"
 
 MAX_NESTING = 100
+MAX_DEGREE = 12
 
 
 class _Token:
@@ -292,6 +299,7 @@ class _Evaluator:
             return -self.eval(node.children[0])
         if kind == "pow":
             base = self.eval(node.children[0])
+            self.bound_degree(node, _degree(base) * node.value)
             return base ** node.value
         # a left-associative chain such as 1 + 2 + ... + n is as deep as it
         # is long, so walk its left spine in a loop instead of recursing
@@ -304,7 +312,15 @@ class _Evaluator:
             value = self.binary(op, value, self.eval(op.children[1]))
         return value
 
+    def bound_degree(self, node: Node, degree: int) -> None:
+        if degree > MAX_DEGREE:
+            raise self.fail(
+                node, f"degree {degree} exceeds the maximum degree {MAX_DEGREE}"
+            )
+
     def binary(self, node: Node, left, right):
+        if node.kind == "mul":
+            self.bound_degree(node, _degree(left) + _degree(right))
         try:
             return _BINARY[node.kind](left, right)
         except QtSymError as exc:
@@ -317,6 +333,7 @@ class _Evaluator:
         if self.scalars_only:
             raise self.fail(node, "only q, t and rationals are allowed here")
         name, parts = node.value
+        self.bound_degree(node, sum(parts))
         try:
             return self.S.element(name, Partition(parts))
         except QtSymError as exc:
@@ -365,6 +382,13 @@ class _Evaluator:
             f"unknown function {name!r}; expected to_<basis>, "
             "scalar, scalar_t, scalar_qt, or a registered operator",
         )
+
+
+def _degree(value) -> int:
+    """The top degree of an element; coefficients have degree 0."""
+    if isinstance(value, SymElement):
+        return max((lam.size for lam in value.terms), default=0)
+    return 0
 
 
 def evaluate(S: SymmetricFunctions, src: str):

@@ -136,19 +136,29 @@ class CoeffMatrix:
             if pivot != col:
                 work[col], work[pivot] = work[pivot], work[col]
                 inv[col], inv[pivot] = inv[pivot], inv[col]
+            # row operations touch only the nonzero columns of the pivot row,
+            # so a triangular matrix costs only its nonzero entries; columns
+            # up to col of `work` are never read again, so they are skipped
+            w_cols = [j for j in range(col + 1, n) if not work[col][j].is_zero()]
+            i_cols = [j for j in range(n) if not inv[col][j].is_zero()]
             p = work[col][col]
             if not p.is_one():
                 pinv = ONE / p
-                work[col] = [x * pinv for x in work[col]]
-                inv[col] = [x * pinv for x in inv[col]]
+                for row, cols in ((work[col], w_cols), (inv[col], i_cols)):
+                    for j in cols:
+                        row[j] = row[j] * pinv
             for r in range(n):
                 if r == col:
                     continue
                 f = work[r][col]
                 if f.is_zero():
                     continue
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+                for row, prow, cols in (
+                    (work[r], work[col], w_cols),
+                    (inv[r], inv[col], i_cols),
+                ):
+                    for j in cols:
+                        row[j] = row[j] - f * prow[j]
         # row keys and column keys swap roles in the inverse
         return CoeffMatrix(self.col_keys, self.row_keys, inv)
 

@@ -24,8 +24,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeffs import ONE, Coeff, Q, T
 from .partitions import (
     Partition,
@@ -151,10 +149,7 @@ def register_qt(S) -> None:
 
     def mcd_to_m(lam: Partition):
         n = lam.size
-        h_m = {
-            mu: Coeff({mono: Fraction(c) for mono, c in poly.items()})
-            for mu, poly in _hhl_terms(lam).items()
-        }
+        h_m = {mu: Coeff(poly) for mu, poly in _hhl_terms(lam).items()}
         j_p = S.conversion_matrix("m", "p", n).apply(h_m)
         for nu in j_p:
             plethysm = ONE

@@ -252,6 +252,28 @@ def test_cli_eval_deep_nesting_is_user_error(capsys):
     assert code == 1 and "nests" in err
 
 
+def test_cli_eval_degree_above_bound_is_user_error(capsys):
+    # each would start a long run; the guard fires before any conversion
+    for src in ("to_m(McdP[13])", "s[7]*s[7]", "p[7]^2", "m[1] * (m[6] + m[12])"):
+        code, out, err = run_cli(capsys, "eval", src)
+        assert code == 1 and out == "", src
+        assert err.startswith("error:") and "maximum degree 12" in err, src
+
+
+def test_cli_eval_degree_at_bound_is_accepted(capsys):
+    from qtsym.exprs import MAX_DEGREE
+
+    assert MAX_DEGREE == 12
+    for src, want in (
+        ("p[12]", "p[12]"),
+        ("p[6]*p[6]", "p[6,6]"),
+        ("p[4]^3", "p[4,4,4]"),
+        ("2 * p[12] / 2", "p[12]"),
+    ):
+        code, out, err = run_cli(capsys, "eval", src)
+        assert code == 0 and err == "" and out.strip() == want, src
+
+
 def test_eval_nesting_bound_and_long_chains(S):
     from qtsym.exprs import MAX_NESTING
 

@@ -1,9 +1,11 @@
 """Exact Q(q,t) arithmetic: canonical form, gcd reduction, substitution."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtsym.coeffs import (
@@ -19,6 +21,8 @@ from qtsym.coeffs import (
     _int_strip_content,
     _layers_prem,
     _layers_to_biv,
+    _mono_key,
+    _poly_gcd,
     _poly_mul,
     _uni_prem,
 )
@@ -351,3 +355,63 @@ def test_arithmetic_matches_sympy(a, b):
     assert sympy.cancel(_to_sympy(a * b, q, t) - sa * sb) == 0
     if not b.is_zero():
         assert sympy.cancel(_to_sympy(a / b, q, t) - sa / sb) == 0
+
+
+# -- the canonical form in Z[q,t] -------------------------------------------
+
+
+def _assert_canonical(c: Coeff):
+    num, den = c.num, c.den
+    assert all(type(v) is int for v in (*num.values(), *den.values()))
+    if not num:
+        assert den == {(0, 0): 1}
+        return
+    assert gcd(*num.values(), *den.values()) == 1
+    assert _poly_gcd(num, den) == {(0, 0): 1}
+    assert den[max(den, key=_mono_key)] > 0
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions_qt, fractions_qt, st.sampled_from(sorted(_OPS)))
+def test_arithmetic_lands_in_canonical_form(a, b, op):
+    assume(op != "/" or not b.is_zero())
+    result = _OPS[op](a, b)
+    for c in (a, b, result):
+        _assert_canonical(c)
+    if not b.is_zero():
+        again = (a * b) / b
+        assert again.num == a.num and again.den == a.den
+
+
+def test_constructor_clears_denominators_and_content():
+    c = Coeff({(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    assert c.num == {(0, 0): 3, (0, 1): 2} and c.den == {(0, 0): 6}
+    assert c == Fraction(1, 2) + Fraction(1, 3) * T
+    # integer content shared by numerator and denominator cancels, and the
+    # sign moves so that the denominator leads positive
+    c = Coeff({(0, 0): 2, (1, 0): 4}, {(0, 1): -6})
+    assert c.num == {(0, 0): -1, (1, 0): -2} and c.den == {(0, 1): 3}
+    _assert_canonical(c)
+
+
+def test_render_goldens():
+    assert str((1 - Q) / (1 - T)) == "(q - 1)/(t - 1)"
+    assert str((Q + T) / (1 - Q * T) * 3 / 2) == "(-3/2*t - 3/2*q)/(q*t - 1)"
+    assert str(Fraction(1, 2) + T / 3) == "1/3*t + 1/2"
+
+
+def test_terms_are_the_monic_denominator_fraction_form():
+    c = (Q + T) / (1 - Q * T) * 3 / 2
+    # held over Z: -3(q + t) / (2qt - 2)
+    assert c.num == {(1, 0): -3, (0, 1): -3}
+    assert c.den == {(1, 1): 2, (0, 0): -2}
+    num, den = c.numerator_terms(), c.denominator_terms()
+    assert num == {(1, 0): Fraction(-3, 2), (0, 1): Fraction(-3, 2)}
+    assert den == {(1, 1): Fraction(1), (0, 0): Fraction(-1)}
+    assert all(type(v) is Fraction for v in (*num.values(), *den.values()))
+    poly = Fraction(1, 2) + T / 3
+    assert poly.poly_terms() == {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}
+    assert poly.denominator_terms() == {(0, 0): Fraction(1)}
