@@ -1,12 +1,13 @@
 """LLT polynomials from k-ribbon tableaux.
 
-H_lam^(k) collects ribbon tableaux by weight, graded by cospin: the
-coefficient of m_mu is the sum of t^cospin over k-ribbon tableaux of
-shape lam and weight mu.  Cospin is maxspin - spin, with maxspin taken
-over all tableaux of the shape regardless of weight, so relative powers
-between different weights stay meaningful.  The result is symmetric in
-the sense that the coefficient polynomial only depends on the sorted
-weight.
+H_lam^(k) is graded by cospin: the coefficient of m_mu is the sum of
+t^cospin over k-ribbon tableaux of shape lam and weight mu, read off the
+spin histogram that ribbons.ribbon_spin_histogram sums over intermediate
+shapes without listing the tableaux.  Cospin is maxspin - spin, with
+maxspin taken over all tableaux of the shape regardless of weight, so
+relative powers between different weights stay meaningful.  The result
+is symmetric in the sense that the coefficient polynomial only depends on
+the sorted weight.
 
 Generalized Kostka polynomials are the Schur coefficients of H.
 """
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .coeffs import T, ZERO, Coeff
+from .coeffs import ZERO, Coeff
 from .errors import TableauError
 from .partitions import Partition, partitions_of
-from .ribbons import core_and_quotient, ribbon_tableaux
+from .ribbons import core_and_quotient, ribbon_spin_histogram
 
 
 @lru_cache(maxsize=None)
@@ -39,12 +40,10 @@ def spin_distributions(
     table: dict[Partition, dict[int, int]] = {}
     maxspin = 0
     for mu in partitions_of(ribbons):
-        hist: dict[int, int] = {}
-        for tab in ribbon_tableaux(shape, mu.parts, k):
-            hist[tab.spin] = hist.get(tab.spin, 0) + 1
-            maxspin = max(maxspin, tab.spin)
+        hist = ribbon_spin_histogram(shape, mu.parts, k)
         if hist:
             table[mu] = hist
+            maxspin = max(maxspin, max(hist))
     return table, maxspin
 
 
@@ -53,12 +52,10 @@ def llt_in_m(S, shape: Partition, k: int):
     if k < 1:
         raise TableauError("ribbon size must be a positive integer")
     table, maxspin = spin_distributions(shape, k)
-    terms: dict[Partition, Coeff] = {}
-    for mu, hist in table.items():
-        poly = ZERO
-        for spin, count in sorted(hist.items()):
-            poly = poly + count * T ** (maxspin - spin)
-        terms[mu] = poly
+    terms = {
+        mu: Coeff.from_t_poly({maxspin - spin: count for spin, count in hist.items()})
+        for mu, hist in table.items()
+    }
     return S.element("m", terms)
 
 

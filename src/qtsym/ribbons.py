@@ -1,18 +1,23 @@
 """k-cores, k-quotients, and k-ribbon tableaux via bead positions.
 
-A partition with at most L rows corresponds to the bead set
-{parts[i] + L - 1 - i : i < L} (rows padded with zeros).  Adding a
-k-ribbon moves one bead from position p to the free position p + k; the
-spin of that ribbon is the number of beads strictly between the two
-positions, which is one less than the number of rows the ribbon spans.
+A partition with at most L rows corresponds to the ascending bead tuple
+(parts[L-1-j] + j : j < L) (rows padded with zeros).  Adding a k-ribbon
+moves one bead from position p to the free position p + k; the spin of
+that ribbon is the number of beads strictly between the two positions,
+which is one less than the number of rows the ribbon spans.  For bead
+tuples of equal length, lam lies inside mu exactly when lam's beads are
+pointwise at most mu's, so moves are checked without building partitions.
 
 A horizontal k-ribbon strip is a sequence of such moves whose source
 positions strictly increase.  Ribbon tableaux are chains of horizontal
-strips starting at the empty partition.
+strips starting at the empty partition.  Their spin histogram is summed
+over the bead tuples reached after each letter, without listing them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import le
 from typing import Iterator, Sequence
 
 from .errors import PartitionError, TableauError
@@ -22,7 +27,12 @@ from .render import boxed_rows
 
 def _beads(p: Partition, length: int) -> tuple[int, ...]:
     padded = p.padded(length)
-    return tuple(padded[i] + length - 1 - i for i in range(length))
+    return tuple(padded[length - 1 - j] + j for j in range(length))
+
+
+def _rows(beads: tuple[int, ...]) -> tuple[int, ...]:
+    """Row lengths, zero-padded, of an ascending bead tuple."""
+    return tuple(beads[j] - j for j in range(len(beads) - 1, -1, -1))
 
 
 def _partition_from_beads(beads) -> Partition:
@@ -77,15 +87,15 @@ def from_core_and_quotient(
     return _partition_from_beads(beads)
 
 
+def _cells(old: Sequence[int], new: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        (i + 1, j + 1) for i, (a, b) in enumerate(zip(old, new)) for j in range(a, b)
+    )
+
+
 def ribbon_cells(before: Partition, after: Partition) -> tuple[tuple[int, int], ...]:
     """Cells of after/before as (row, col) pairs, 1-indexed."""
-    rows = len(after)
-    old = before.padded(rows)
-    return tuple(
-        (i + 1, j + 1)
-        for i in range(rows)
-        for j in range(old[i], after.parts[i])
-    )
+    return _cells(before.padded(len(after)), after.parts)
 
 
 class RibbonTableau:
@@ -131,42 +141,39 @@ class RibbonTableau:
 
 
 def _strip_moves(
-    beads: tuple[int, ...], k: int, count: int, within: Partition
+    beads: tuple[int, ...], k: int, count: int, cap: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
     """All ways to add `count` ribbons as a horizontal strip.
 
-    Yields the final bead tuple and the list of moves (source, spin), with
-    sources strictly increasing.  Intermediate shapes are pruned against
-    the ambient diagram since cells are only ever added.
+    `beads` and `cap` are ascending bead tuples of equal length, `cap` the
+    ambient shape's.  Yields the final bead tuple and the list of moves
+    (bead tuple after the move, spin), with source positions strictly
+    increasing.  Every move is pruned against `cap`.
     """
+    size = len(beads)
 
-    def rec(cur: frozenset, last: int, left: int, moves: list[tuple[int, int]]):
+    def rec(cur: tuple[int, ...], first: int, left: int, moves: list):
         if left == 0:
-            yield tuple(sorted(cur)), list(moves)
+            yield cur, list(moves)
             return
-        for b in sorted(cur):
-            if b <= last or b + k in cur:
+        # beads at index >= first lie above the previous source
+        for i in range(first, size):
+            target = cur[i] + k
+            j = bisect_left(cur, target, i)
+            if j < size and cur[j] == target:
                 continue
-            spin = sum(1 for c in cur if b < c < b + k)
-            nxt = (cur - {b}) | {b + k}
-            if not within.contains(_partition_from_beads(nxt)):
+            nxt = cur[:i] + cur[i + 1 : j] + (target,) + cur[j:]
+            if not all(map(le, nxt, cap)):
                 continue
-            moves.append((b, spin))
-            yield from rec(nxt, b, left - 1, moves)
+            moves.append((nxt, j - i - 1))
+            yield from rec(nxt, i, left - 1, moves)
             moves.pop()
 
-    yield from rec(frozenset(beads), -1, count, [])
+    yield from rec(beads, 0, count, [])
 
 
-def ribbon_tableaux(
-    shape: Partition, weight: Sequence[int], k: int
-) -> list[RibbonTableau]:
-    """All k-ribbon tableaux of the given shape and weight.
-
-    The weight lists how many ribbons carry each letter; letters with
-    weight zero are allowed.  The shape must hold exactly k times the
-    total weight in cells.
-    """
+def _tableau_ends(shape: Partition, weight: Sequence[int], k: int):
+    """The checked weight and the start and end bead tuples of a tableau."""
     if k < 1:
         raise TableauError("ribbon size must be a positive integer")
     weight = tuple(int(w) for w in weight)
@@ -178,39 +185,75 @@ def ribbon_tableaux(
             f"{k * sum(weight)}"
         )
     length = max(k, len(shape) + k)
-    start = _beads(Partition(), length)
+    return weight, _beads(Partition(), length), _beads(shape, length)
+
+
+def ribbon_tableaux(
+    shape: Partition, weight: Sequence[int], k: int
+) -> list[RibbonTableau]:
+    """All k-ribbon tableaux of the given shape and weight.
+
+    The weight lists how many ribbons carry each letter; letters with
+    weight zero are allowed.  The shape must hold exactly k times the
+    total weight in cells.
+    """
+    weight, start, cap = _tableau_ends(shape, weight, k)
     out: list[RibbonTableau] = []
 
     def rec(beads, letter, chain, ribbons):
-        if letter == len(weight):
-            if chain[-1] == shape:
-                out.append(RibbonTableau(k, shape, weight, chain, ribbons))
+        if letter == len(weight):  # every cell of the shape is covered
+            out.append(RibbonTableau(k, shape, weight, chain, ribbons))
             return
-        for nxt_beads, moves in _strip_moves(beads, k, weight[letter], shape):
-            cur = beads
+        for nxt_beads, moves in _strip_moves(beads, k, weight[letter], cap):
+            rows = _rows(beads)
             new_ribbons = list(ribbons)
-            new_chain = list(chain)
-            for src, spin in moves:
-                stepped = tuple(sorted(set(cur) - {src} | {src + k}))
-                cells = ribbon_cells(
-                    _partition_from_beads(cur), _partition_from_beads(stepped)
-                )
-                new_ribbons.append((letter + 1, cells, spin))
-                cur = stepped
-            new_chain.append(_partition_from_beads(nxt_beads))
-            rec(nxt_beads, letter + 1, new_chain, new_ribbons)
+            for stepped, spin in moves:
+                stepped_rows = _rows(stepped)
+                new_ribbons.append((letter + 1, _cells(rows, stepped_rows), spin))
+                rows = stepped_rows
+            strip_end = Partition(r for r in rows if r)
+            rec(nxt_beads, letter + 1, chain + [strip_end], new_ribbons)
 
     rec(start, 0, [Partition()], [])
     return out
+
+
+def ribbon_spin_histogram(
+    shape: Partition, weight: Sequence[int], k: int
+) -> dict[int, int]:
+    """{spin: count} over the k-ribbon tableaux of the given shape and weight.
+
+    Counts the same tableaux as ribbon_tableaux, summing over the
+    intermediate bead tuples after each letter instead of listing them.
+    """
+    weight, start, cap = _tableau_ends(shape, weight, k)
+    memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+
+    def hist(beads, letter) -> dict[int, int]:
+        if letter == len(weight):
+            return {0: 1}
+        key = (beads, letter)
+        if key not in memo:
+            total: dict[int, int] = {}
+            for nxt, moves in _strip_moves(beads, k, weight[letter], cap):
+                shift = sum(spin for _, spin in moves)
+                for spin, count in hist(nxt, letter + 1).items():
+                    total[spin + shift] = total.get(spin + shift, 0) + count
+            memo[key] = total
+        return memo[key]
+
+    return hist(start, 0)
 
 
 def ribbon_strip_spins(
     base: Partition, cells: int, k: int, within: Partition
 ) -> list[tuple[Partition, int]]:
     """Horizontal strip extensions by `cells` ribbons with their spins."""
+    if k < 1:
+        raise TableauError("ribbon size must be a positive integer")
     length = max(k, len(within) + k)
-    beads = _beads(base, length)
-    out = []
-    for nxt, moves in _strip_moves(beads, k, cells, within):
-        out.append((_partition_from_beads(nxt), sum(s for _, s in moves)))
-    return out
+    strips = _strip_moves(_beads(base, length), k, cells, _beads(within, length))
+    return [
+        (_partition_from_beads(end), sum(spin for _, spin in moves))
+        for end, moves in strips
+    ]

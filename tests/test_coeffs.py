@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qtsym import coeffs
 from qtsym.coeffs import (
     ONE,
     Q,
@@ -24,6 +25,8 @@ from qtsym.coeffs import (
     _mono_key,
     _poly_gcd,
     _poly_mul,
+    _uni_gcd,
+    _uni_mul,
     _uni_prem,
 )
 from qtsym.errors import CoefficientError
@@ -332,6 +335,46 @@ def test_prs_gcd_agrees_with_heuristic_gcd(f, g, h):
         assert _biv_divides(_int_strip_content(slow), factor)
     if fast is not None:
         assert _same_up_to_sign(_int_strip_content(slow), fast)
+
+
+def _uni_gcd_by_remainders(a, b):
+    """_uni_gcd with the heuristic GCD failing, so the primitive remainder
+    sequence runs; also returns how many pseudo-remainders it took."""
+    calls = []
+
+    def counted_prem(f, g):
+        calls.append(1)
+        return _uni_prem(f, g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coeffs, "_uni_heugcd", lambda f, g: None)
+        mp.setattr(coeffs, "_uni_prem", counted_prem)
+        return _uni_gcd(a, b), len(calls)
+
+
+def test_uni_gcd_remainder_sequence_runs():
+    # (x + 1)(x^2 + 2) and (x + 1)(2x - 3): gcd x + 1
+    a = _uni_mul({1: 1, 0: 1}, {2: 1, 0: 2})
+    b = _uni_mul({1: 1, 0: 1}, {1: 2, 0: -3})
+    got, steps = _uni_gcd_by_remainders(a, b)
+    assert got == {1: 1, 0: 1}
+    assert steps >= 2
+    # coprime inputs end on a constant remainder
+    assert _uni_gcd_by_remainders({2: 1, 0: 1}, {1: 2, 0: 1}) == ({0: 1}, 1)
+
+
+uni_int_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=4), int_coeffs, min_size=1, max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uni_int_polys, uni_int_polys, uni_int_polys)
+def test_uni_gcd_remainder_sequence_agrees_with_heuristic(f, g, h):
+    a, b = _uni_mul(f, g), _uni_mul(f, h)
+    slow, _ = _uni_gcd_by_remainders(a, b)
+    assert slow == _uni_gcd(a, b)
+    assert gcd(*slow.values()) == 1 and slow[max(slow)] > 0
 
 
 def _to_sympy(c: Coeff, q, t):

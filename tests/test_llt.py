@@ -2,7 +2,7 @@
 
 import pytest
 
-from qtsym.coeffs import T
+from qtsym.coeffs import T, ZERO
 from qtsym.errors import TableauError
 from qtsym.llt import generalized_kostka, llt_in_m, spin_distributions
 from qtsym.partitions import Partition, distinct_permutations, partitions_of
@@ -116,3 +116,24 @@ def test_spin_distribution_shape():
     assert maxspin == 2
     assert table[Partition([2])] == {2: 1}
     assert table[Partition([1, 1])] == {0: 1, 2: 1}
+
+
+def test_llt_coefficients_sum_tableaux_by_cospin(S):
+    # the histogram route against listing every tableau
+    for size, k in ((6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2)):
+        for lam in partitions_of(size):
+            table, maxspin = spin_distributions(lam, k)
+            h = llt_in_m(S, lam, k)
+            if core_and_quotient(lam, k)[0] != Partition():
+                assert table == {} and h.is_zero()
+                continue
+            spins = {
+                mu: [tab.spin for tab in ribbon_tableaux(lam, mu.parts, k)]
+                for mu in partitions_of(size // k)
+            }
+            assert maxspin == max(max(s) for s in spins.values() if s)
+            for mu, found in spins.items():
+                hist = {x: found.count(x) for x in found}
+                assert table.get(mu, {}) == hist, (lam, mu, k)
+                expected = sum((T ** (maxspin - x) for x in found), ZERO)
+                assert h.coefficient(mu) == expected, (lam, mu, k)

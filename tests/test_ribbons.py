@@ -1,6 +1,7 @@
 """Cores, quotients, ribbon tableaux and spin."""
 
 import itertools
+from math import factorial, prod
 
 import pytest
 
@@ -10,6 +11,7 @@ from qtsym.ribbons import (
     RibbonTableau,
     core_and_quotient,
     from_core_and_quotient,
+    ribbon_spin_histogram,
     ribbon_strip_spins,
     ribbon_tableaux,
 )
@@ -95,6 +97,12 @@ def test_three_ribbon_tilings_of_432():
 def test_weight_size_mismatch():
     with pytest.raises(TableauError):
         ribbon_tableaux(Partition([3, 1]), (1, 1), 3)
+
+
+def test_strip_spins_reject_nonpositive_ribbon_size():
+    for k in (0, -1):
+        with pytest.raises(TableauError):
+            ribbon_strip_spins(Partition([1]), 1, k, within=Partition([3, 2]))
 
 
 def test_k1_degenerates_to_ssyt():
@@ -190,3 +198,254 @@ def test_render_has_one_label_per_cell():
         "| 1 | 2 |\n"
         "+---+---+"
     ) in texts
+
+
+def _spin_counts(tabs) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for tab in tabs:
+        out[tab.spin] = out.get(tab.spin, 0) + 1
+    return out
+
+
+def test_spin_histogram_matches_tableaux():
+    for k in (1, 2, 3, 4):
+        for n in range(0, 11, k):
+            for shape in partitions_of(n):
+                for mu in partitions_of(n // k):
+                    assert ribbon_spin_histogram(shape, mu.parts, k) == _spin_counts(
+                        ribbon_tableaux(shape, mu.parts, k)
+                    ), (shape, mu, k)
+
+
+def test_spin_histogram_with_zero_letters():
+    cases = [
+        ([4, 3, 2], (0, 2, 1), 3),
+        ([4, 3, 2], (1, 0, 2), 3),
+        ([4, 4, 2, 2], (0, 3, 0, 3), 2),
+        ([3, 3], (0, 0, 3), 2),
+        ([2, 2, 1], (2, 0, 3), 1),
+    ]
+    for shape, weight, k in cases:
+        tabs = ribbon_tableaux(Partition(shape), weight, k)
+        assert ribbon_spin_histogram(Partition(shape), weight, k) == _spin_counts(tabs)
+    assert ribbon_spin_histogram(Partition(), (0, 0), 2) == {0: 1}
+    with pytest.raises(TableauError):
+        ribbon_spin_histogram(Partition([3, 1]), (1, 1), 3)
+
+
+def _tableau_json(shape, k, weight, spin, chain, ribbons):
+    return {
+        "shape": shape,
+        "k": k,
+        "weight": weight,
+        "spin": spin,
+        "chain": chain,
+        "ribbons": [
+            {"label": label, "cells": [list(c) for c in cells], "spin": s}
+            for label, cells, s in ribbons
+        ],
+    }
+
+
+# (spin, chain, ribbons) of each tableau, in the order of the enumeration
+GOLDEN_432_111_K3 = [
+    (
+        5,
+        [[], [1, 1, 1], [2, 2, 2], [4, 3, 2]],
+        [
+            (1, [(1, 1), (2, 1), (3, 1)], 2),
+            (2, [(1, 2), (2, 2), (3, 2)], 2),
+            (3, [(1, 3), (1, 4), (2, 3)], 1),
+        ],
+    ),
+    (
+        3,
+        [[], [1, 1, 1], [4, 1, 1], [4, 3, 2]],
+        [
+            (1, [(1, 1), (2, 1), (3, 1)], 2),
+            (2, [(1, 2), (1, 3), (1, 4)], 0),
+            (3, [(2, 2), (2, 3), (3, 2)], 1),
+        ],
+    ),
+    (
+        3,
+        [[], [2, 1], [2, 2, 2], [4, 3, 2]],
+        [
+            (1, [(1, 1), (1, 2), (2, 1)], 1),
+            (2, [(2, 2), (3, 1), (3, 2)], 1),
+            (3, [(1, 3), (1, 4), (2, 3)], 1),
+        ],
+    ),
+]
+
+GOLDEN_4422_321_K2 = [
+    (
+        6,
+        [[], [3, 3], [3, 3, 2, 2], [4, 4, 2, 2]],
+        [
+            (1, [(1, 1), (2, 1)], 1),
+            (1, [(1, 2), (2, 2)], 1),
+            (1, [(1, 3), (2, 3)], 1),
+            (2, [(3, 1), (4, 1)], 1),
+            (2, [(3, 2), (4, 2)], 1),
+            (3, [(1, 4), (2, 4)], 1),
+        ],
+    ),
+    (
+        6,
+        [[], [3, 3], [4, 4, 1, 1], [4, 4, 2, 2]],
+        [
+            (1, [(1, 1), (2, 1)], 1),
+            (1, [(1, 2), (2, 2)], 1),
+            (1, [(1, 3), (2, 3)], 1),
+            (2, [(3, 1), (4, 1)], 1),
+            (2, [(1, 4), (2, 4)], 1),
+            (3, [(3, 2), (4, 2)], 1),
+        ],
+    ),
+    (
+        4,
+        [[], [3, 3], [4, 4, 2], [4, 4, 2, 2]],
+        [
+            (1, [(1, 1), (2, 1)], 1),
+            (1, [(1, 2), (2, 2)], 1),
+            (1, [(1, 3), (2, 3)], 1),
+            (2, [(3, 1), (3, 2)], 0),
+            (2, [(1, 4), (2, 4)], 1),
+            (3, [(4, 1), (4, 2)], 0),
+        ],
+    ),
+    (
+        4,
+        [[], [4, 2], [4, 2, 2, 2], [4, 4, 2, 2]],
+        [
+            (1, [(1, 1), (2, 1)], 1),
+            (1, [(1, 2), (2, 2)], 1),
+            (1, [(1, 3), (1, 4)], 0),
+            (2, [(3, 1), (4, 1)], 1),
+            (2, [(3, 2), (4, 2)], 1),
+            (3, [(2, 3), (2, 4)], 0),
+        ],
+    ),
+    (
+        4,
+        [[], [4, 2], [4, 4, 1, 1], [4, 4, 2, 2]],
+        [
+            (1, [(1, 1), (2, 1)], 1),
+            (1, [(1, 2), (2, 2)], 1),
+            (1, [(1, 3), (1, 4)], 0),
+            (2, [(3, 1), (4, 1)], 1),
+            (2, [(2, 3), (2, 4)], 0),
+            (3, [(3, 2), (4, 2)], 1),
+        ],
+    ),
+    (
+        2,
+        [[], [4, 2], [4, 4, 2], [4, 4, 2, 2]],
+        [
+            (1, [(1, 1), (2, 1)], 1),
+            (1, [(1, 2), (2, 2)], 1),
+            (1, [(1, 3), (1, 4)], 0),
+            (2, [(3, 1), (3, 2)], 0),
+            (2, [(2, 3), (2, 4)], 0),
+            (3, [(4, 1), (4, 2)], 0),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, weight, k, golden",
+    [
+        ([4, 3, 2], [1, 1, 1], 3, GOLDEN_432_111_K3),
+        ([4, 4, 2, 2], [3, 2, 1], 2, GOLDEN_4422_321_K2),
+    ],
+)
+def test_tableaux_json_in_enumeration_order(shape, weight, k, golden):
+    got = [t.to_json() for t in ribbon_tableaux(Partition(shape), weight, k)]
+    assert got == [_tableau_json(shape, k, weight, *entry) for entry in golden]
+
+
+def _strip_spins_by_filter(base, cells, k, within):
+    """Every sequence of `cells` bead moves with increasing sources, each
+    intermediate shape kept only when Partition.contains accepts it."""
+    length = max(k, len(within) + k)
+
+    def shape_of(beads):
+        desc = sorted(beads, reverse=True)
+        rows = (desc[i] - (length - 1 - i) for i in range(length))
+        return Partition(r for r in rows if r)
+
+    out = []
+
+    def rec(cur, last, left, spin):
+        if left == 0:
+            out.append((shape_of(cur), spin))
+            return
+        for b in sorted(cur):
+            if b <= last or b + k in cur:
+                continue
+            nxt = cur - {b} | {b + k}
+            if within.contains(shape_of(nxt)):
+                between = sum(1 for c in cur if b < c < b + k)
+                rec(nxt, b, left - 1, spin + between)
+
+    padded = base.padded(length)
+    rec(frozenset(padded[i] + length - 1 - i for i in range(length)), -1, cells, 0)
+    return out
+
+
+def test_strip_spins_match_containment_filter():
+    bases = [lam for n in range(4) for lam in partitions_of(n)]
+    for within in (lam for n in (6, 8) for lam in partitions_of(n)):
+        for base in bases:
+            if len(base) > len(within) + 1:
+                continue
+            for k in (1, 2, 3):
+                for cells in (0, 1, 2, 3):
+                    assert ribbon_strip_spins(
+                        base, cells, k, within
+                    ) == _strip_spins_by_filter(base, cells, k, within), (
+                        base,
+                        cells,
+                        k,
+                        within,
+                    )
+
+
+def _standard_tableaux_count(shape: Partition) -> int:
+    """f^shape by the hook length formula."""
+    conj = shape.conjugate()
+    hooks = prod(
+        (row - j - 1) + (conj.parts[j] - i - 1) + 1
+        for i, row in enumerate(shape.parts)
+        for j in range(row)
+    )
+    return factorial(shape.size) // hooks
+
+
+def _multipartitions(total: int, k: int):
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for lam in partitions_of(first):
+            for rest in _multipartitions(total - first, k - 1):
+                yield (lam, *rest)
+
+
+def test_standard_ribbon_count_stanton_white():
+    # For an empty k-core, standard k-ribbon tableaux of shape lam number
+    # n! / prod |q_i|! * prod f^{q_i} over the k-quotient (q_0, ..., q_{k-1})
+    # (Stanton and White, 1985).
+    shapes = 0
+    for k in (2, 3, 4):
+        for n in (1, 2, 3):
+            for quotient in _multipartitions(n, k):
+                shape = from_core_and_quotient(Partition(), quotient, k)
+                expected = factorial(n) // prod(factorial(q.size) for q in quotient)
+                expected *= prod(_standard_tableaux_count(q) for q in quotient)
+                assert len(ribbon_tableaux(shape, (1,) * n, k)) == expected, (shape, k)
+                shapes += 1
+    assert shapes == 109
