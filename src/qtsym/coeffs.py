@@ -74,10 +74,17 @@ def _poly_lead(a: Poly) -> Monomial:
 
 
 def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Divide a by b in Z[q,t] assuming the division is exact."""
+    """The quotient of a by b in Z[q,t]; ArithmeticError unless b divides
+    a exactly."""
     if len(b) == 1:
         ((bq, bt), cb), = b.items()
-        return {(eq - bq, et - bt): c // cb for (eq, et), c in a.items()}
+        mono_quot: Poly = {}
+        for (eq, et), c in a.items():
+            d, r = divmod(c, cb)
+            if eq < bq or et < bt or r:
+                raise ArithmeticError("inexact polynomial division")
+            mono_quot[(eq - bq, et - bt)] = d
+        return mono_quot
     # any monomial order works for division: plain tuple order (lex, q
     # first) needs no key function
     quot: Poly = {}
@@ -844,6 +851,50 @@ def _poly_eval(p: Poly, qv: Coeff, tv: Coeff) -> Coeff:
             term = term * power(t_pows, tv, et)
         total = total + term
     return total
+
+
+def dot(pairs) -> Coeff:
+    """The sum of a * b over the pairs (a, b) of Coeff, divided once.
+
+    Each product's raw denominator is a.den * b.den.  D is the one of
+    highest total degree, times whatever integer the others need beyond
+    its content.  When every denominator divides D, the numerators are
+    brought over D by exact cofactors and added in Z[q,t], and the sum is
+    reduced by one gcd with D: fraction-free, as in Bareiss elimination.
+    When one does not, a common denominator would be an lcm that can grow
+    far past D, so the products are added one at a time as Coeff values.
+    """
+    terms = []
+    for a, b in pairs:
+        if not a.num or not b.num:
+            continue
+        if _poly_is_one(a.den):
+            den = b.den
+        elif _poly_is_one(b.den):
+            den = a.den
+        else:
+            den = _poly_mul(a.den, b.den)
+        terms.append((a, b, den))
+    if not terms:
+        return ZERO
+    top = max(terms, key=lambda term: max(eq + et for eq, et in term[2]))[2]
+    lift = _int_lcm(*(_int_gcd(*den.values()) for _, _, den in terms))
+    lift //= _int_gcd(*top.values())
+    if lift > 1:
+        top = {mono: c * lift for mono, c in top.items()}
+    try:
+        # None marks a cofactor of 1, which is never multiplied in
+        cofactors = [
+            None if den == top else _poly_divexact(top, den) for _, _, den in terms
+        ]
+    except ArithmeticError:
+        return sum((a * b for a, b, _ in terms), ZERO)
+    num: Poly = {}
+    for (a, b, _), cofactor in zip(terms, cofactors):
+        prod = _poly_mul(a.num, b.num)
+        num = _poly_add(num, prod if cofactor is None else _poly_mul(prod, cofactor))
+    g = _ONE_POLY if _poly_is_one(top) else _poly_gcd(num, top)
+    return _canonical(num, top, g)
 
 
 ZERO = _make({}, _ONE_POLY)

@@ -4,13 +4,19 @@ Basis-change matrices are small and dense at desk scale, so entries live
 in row-major lists of Coeff.  Rows and columns are keyed by arbitrary
 hashable labels (partitions in practice); keys travel with the matrix so
 composition and inversion cannot silently misalign bases.
+
+Composition divides once per entry: `coeffs.dot` brings the entry's
+products over their denominator of highest degree (scaled by any integer
+the others need), adds the numerators in Z[q,t] and takes one gcd.  Only
+an entry with a denominator that does not divide that one falls back to
+adding the products one at a time.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .coeffs import ONE, ZERO, Coeff
+from .coeffs import ONE, ZERO, Coeff, dot
 from .errors import SingularMatrixError
 
 Key = Hashable
@@ -76,21 +82,16 @@ class CoeffMatrix:
         )
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
+        """Composition.  Each entry is one `dot` over the nonzero middle
+        index: divided once when its denominators nest, else added one
+        product at a time."""
         if self.col_keys != other.row_keys:
             raise ValueError("matrix composition with mismatched keys")
-        n, mid, m = len(self.row_keys), len(self.col_keys), len(other.col_keys)
-        rows = [[ZERO] * m for _ in range(n)]
-        for i in range(n):
-            left = self.rows[i]
-            out = rows[i]
-            for k in range(mid):
-                c = left[k]
-                if c.is_zero():
-                    continue
-                right = other.rows[k]
-                for j in range(m):
-                    if not right[j].is_zero():
-                        out[j] = out[j] + c * right[j]
+        cols = [[row[j] for row in other.rows] for j in range(len(other.col_keys))]
+        rows = []
+        for left in self.rows:
+            mid = [k for k, c in enumerate(left) if not c.is_zero()]
+            rows.append([dot([(left[k], col[k]) for k in mid]) for col in cols])
         return CoeffMatrix(self.row_keys, other.col_keys, rows)
 
     def transpose(self) -> "CoeffMatrix":

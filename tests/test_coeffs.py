@@ -23,11 +23,13 @@ from qtsym.coeffs import (
     _layers_prem,
     _layers_to_biv,
     _mono_key,
+    _poly_divexact,
     _poly_gcd,
     _poly_mul,
     _uni_gcd,
     _uni_mul,
     _uni_prem,
+    dot,
 )
 from qtsym.errors import CoefficientError
 
@@ -458,3 +460,64 @@ def test_terms_are_the_monic_denominator_fraction_form():
     poly = Fraction(1, 2) + T / 3
     assert poly.poly_terms() == {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}
     assert poly.denominator_terms() == {(0, 0): Fraction(1)}
+
+
+# -- exact division and fraction-free sums of products ------------------------
+
+
+def test_divexact_by_one_term_raises_when_inexact():
+    assert _poly_divexact({(2, 1): 6, (1, 1): -4}, {(1, 1): 2}) == {
+        (1, 0): 3,
+        (0, 0): -2,
+    }
+    # an integer quotient that would be floored, and a negative exponent
+    with pytest.raises(ArithmeticError):
+        _poly_divexact({(0, 0): 6}, {(0, 0): 4})
+    with pytest.raises(ArithmeticError):
+        _poly_divexact({(0, 0): 1}, {(1, 0): 1})
+    with pytest.raises(ArithmeticError):
+        _poly_divexact({(0, 0): 1, (1, 0): 1}, {(0, 1): 1})
+    # the many-term branch raises on the same kinds of input
+    with pytest.raises(ArithmeticError):
+        _poly_divexact({(0, 0): 3, (1, 0): 3}, {(0, 0): 2, (1, 0): 2})
+
+
+def test_dot_fixed_cases():
+    assert dot([]) == ZERO
+    assert dot([(ZERO, ONE / (1 - Q)), (Q, ZERO)]) == ZERO
+    # neither denominator divides the other: the running-sum fallback
+    got = dot([(ONE, ONE / (1 - Q)), (ONE / (1 - T), ONE)])
+    assert got == (2 - Q - T) / ((1 - Q) * (1 - T))
+    # nested denominators share (1-q)^2
+    got = dot([(ONE / (1 - Q), ONE), (ONE / (1 - Q), ONE / (1 - Q))])
+    assert got == (2 - Q) / (1 - Q) ** 2
+    # rational constants: denominators 2 and 3 nest over their lcm 6
+    assert dot([(ONE / 2, ONE), (ONE, ONE / 3)]) == Fraction(5, 6)
+    assert dot([(ONE / 2, ONE / 3), (ONE / 6, -ONE)]) == ZERO
+    # a sum that cancels to zero over a shared denominator
+    assert dot([(Q, ONE / (1 - Q)), (-Q, ONE / (1 - Q))]) == ZERO
+    # a common factor of the summed numerator and the denominator cancels
+    assert dot([(ONE / (1 - Q), ONE), (-Q, ONE / (1 - Q))]) == ONE
+
+
+# denominators from a small family, so that one list of products mixes
+# equal, nested and non-nested denominators and integer constants
+_DOT_DENS = [
+    ONE, ONE * 2, ONE * 3, 1 - Q, 1 - T, (1 - Q) ** 2, (1 - Q) * (1 - T), 2 - 2 * Q * T
+]
+dot_factors = st.one_of(
+    st.builds(lambda n, d: n / d, polys, st.sampled_from(_DOT_DENS)), fractions_qt
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(dot_factors, dot_factors), max_size=5), st.booleans())
+def test_dot_is_the_running_sum(pairs, cancel):
+    if cancel:
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    want = ZERO
+    for a, b in pairs:
+        want = want + a * b
+    got = dot(pairs)
+    assert got.num == want.num and got.den == want.den
+    _assert_canonical(got)

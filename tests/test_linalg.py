@@ -74,3 +74,46 @@ def test_solve():
     assert x == {"a": c(3)}
     x = m.solve({"a": ZERO + T, "b": ONE})
     assert m.apply(x) == {"a": T, "b": ONE}
+
+
+def _running_sum_matmul(a, b):
+    """The composition added up one Coeff product at a time."""
+    rows = []
+    for left in a.rows:
+        row = []
+        for j in range(len(b.col_keys)):
+            total = ZERO
+            for k, value in enumerate(left):
+                total = total + value * b.rows[k][j]
+            row.append(total)
+        rows.append(row)
+    return CoeffMatrix(a.row_keys, b.col_keys, rows)
+
+
+def test_compose_sums_over_a_shared_denominator():
+    x = ONE / (1 - T)
+    m = CoeffMatrix(("a", "b"), ("a", "b"), [[x, x * x], [ONE / 2, ONE / 3]])
+    prod = m @ m
+    assert prod == _running_sum_matmul(m, m)
+    assert prod.entry("a", "a") == x * x + x * x / 2
+    assert prod.entry("b", "b") == x * x / 2 + ONE / 9
+    empty = CoeffMatrix(("a",), (), [[]]) @ CoeffMatrix((), ("u", "v"), [])
+    assert empty.rows == [[ZERO, ZERO]]
+
+
+@pytest.mark.parametrize(
+    "hub, partners, degrees",
+    [
+        ("McdP", ("m", "s", "P", "QP", "h", "p"), (1, 2, 3, 4)),
+        ("P", ("s",), (5,)),
+        ("Q", ("s",), (5,)),
+        ("QP", ("s",), (5,)),
+    ],
+)
+def test_compose_equals_running_sum_on_conversion_matrices(S, hub, partners, degrees):
+    for n in degrees:
+        for other in partners:
+            forth = S.conversion_matrix(hub, other, n)
+            back = S.conversion_matrix(other, hub, n)
+            for a, b in ((back, forth), (forth, back)):
+                assert a @ b == _running_sum_matmul(a, b)
