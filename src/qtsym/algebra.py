@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .coeffs import ONE, Q, T, ZERO, Coeff
+from .coeffs import ONE, Q, T, ZERO, Coeff, dot
 from .errors import BasisError, ScalarProductError
 from .linalg import CoeffMatrix
 from .partitions import Partition, partitions_of
@@ -249,7 +249,6 @@ class SymmetricFunctions:
         self._basis_order: list[str] = []
         self._edges: list[_Edge] = []
         self._explicit_pairs: set[tuple[str, str]] = set()
-        self._duals: dict[str, str] = {}
         self._operators: dict[str, _Operator] = {}
         self._scalar_products: dict[str, Callable[[Partition], Coeff]] = {
             "hall": _hall_diag,
@@ -260,6 +259,12 @@ class SymmetricFunctions:
         self._path_matrices: dict[tuple[str, str, int], CoeffMatrix] = {}
         self._paths: dict[tuple[str, str], list[_Edge] | None] = {}
         self._gs_cache: dict[tuple[str, int], dict[Partition, SymElement]] = {}
+        # scalar-product caches: diagonal values per (product, nu), and per
+        # (product, basis, lam) the lam column over p weighted by them
+        self._diagonals: dict[tuple[str, Partition], Coeff] = {}
+        self._weighted_columns: dict[
+            tuple[str, str, Partition], dict[Partition, Coeff]
+        ] = {}
         if full:
             from .classical import register_classical
             from .qt import register_qt
@@ -321,15 +326,6 @@ class SymmetricFunctions:
         )
         self._explicit_pairs.add((b_dual, a_dual))
         self._invalidate_routes()
-
-    def declare_dual_pair(self, a: str, b: str) -> None:
-        self._require_basis(a)
-        self._require_basis(b)
-        self._duals[a] = b
-        self._duals[b] = a
-
-    def dual_of(self, name: str) -> str | None:
-        return self._duals.get(name)
 
     def register_scalar_product(
         self, name: str, diagonal: Callable[[Partition], Coeff]
@@ -398,6 +394,8 @@ class SymmetricFunctions:
     def _invalidate_routes(self) -> None:
         self._paths.clear()
         self._path_matrices.clear()
+        self._diagonals.clear()
+        self._weighted_columns.clear()
 
     def _adjacency(self) -> list[_Edge]:
         """Directed edges in deterministic order: explicit registrations
@@ -498,10 +496,11 @@ class SymmetricFunctions:
         path = self._find_path(frm, to)
         if path is None:
             raise BasisError(f"no conversion route from {frm!r} to {to!r}")
-        matrix: CoeffMatrix | None = None
-        for edge in path:
-            step = self._edge_matrix(edge, n)
-            matrix = step if matrix is None else step @ matrix
+        matrix = self._edge_matrix(path[-1], n)
+        if len(path) > 1:
+            # the breadth-first parent tree makes path[:-1] the cached route
+            # to path[-1].frm, so shared prefixes are multiplied once
+            matrix = matrix @ self.conversion_matrix(frm, path[-1].frm, n)
         self._path_matrices[key] = matrix
         return matrix
 
@@ -585,19 +584,44 @@ class SymmetricFunctions:
 
     # -- scalar products and orthogonalization ----------------------------
 
+    def _diagonal(self, product: str, nu: Partition) -> Coeff:
+        """The product's value <p_nu, p_nu>, memoized."""
+        key = (product, nu)
+        value = self._diagonals.get(key)
+        if value is None:
+            value = self._diagonals[key] = self._scalar_products[product](nu)
+        return value
+
+    def _weighted_column(
+        self, product: str, basis: str, lam: Partition
+    ) -> dict[Partition, Coeff]:
+        """nu -> <basis_lam, p_nu>: the lam column of the basis -> p matrix,
+        each entry times the diagonal at nu.  Cached per (product, basis, lam)."""
+        key = (product, basis, lam)
+        column = self._weighted_columns.get(key)
+        if column is None:
+            column = self.conversion_matrix(basis, "p", lam.size).column(lam)
+            column = {nu: c * self._diagonal(product, nu) for nu, c in column.items()}
+            self._weighted_columns[key] = column
+        return column
+
     def scalar(self, f: SymElement, g: SymElement, product: str = "hall") -> Coeff:
-        try:
-            diagonal = self._scalar_products[product]
-        except KeyError:
-            raise BasisError(f"unknown scalar product {product!r}") from None
-        fp = self.convert(f, "p")
-        gp = self.convert(g, "p")
-        total = ZERO
-        for lam, c in fp.terms.items():
-            d = gp.terms.get(lam)
-            if d is not None:
-                total = total + c * d * diagonal(lam)
-        return total
+        """<f, g> for the named product, diagonal on powersums.
+
+        Bilinear: g is converted to p once, and each term of f is paired
+        with it through the cached weighted column of its basis element, so
+        the work is linear in the two supports.  Both sums divide once
+        (`coeffs.dot`).
+        """
+        if product not in self._scalar_products:
+            raise BasisError(f"unknown scalar product {product!r}")
+        gp = self.convert(g, "p").terms
+        pairs = []
+        for lam, c in f.terms.items():
+            column = self._weighted_column(product, f.basis, lam)
+            inner = dot([(w, gp[nu]) for nu, w in column.items() if nu in gp])
+            pairs.append((c, inner))
+        return dot(pairs)
 
     def gram_schmidt(self, n: int, product: str) -> dict[Partition, SymElement]:
         """Orthogonalize the monomial basis of degree n against `product`.
@@ -611,20 +635,17 @@ class SymmetricFunctions:
         cached = self._gs_cache.get(cache_key)
         if cached is not None:
             return cached
-        try:
-            diagonal = self._scalar_products[product]
-        except KeyError:
-            raise BasisError(f"unknown scalar product {product!r}") from None
+        if product not in self._scalar_products:
+            raise BasisError(f"unknown scalar product {product!r}")
         keys = list(reversed(partitions_of(n)))  # lex increasing
         m_to_p = self.conversion_matrix("m", "p", n)
-        diag = {lam: diagonal(lam) for lam in partitions_of(n)}
 
-        def dot(u: dict, v: dict) -> Coeff:
+        def pair(u: dict, v: dict) -> Coeff:
             total = ZERO
             for lam, c in u.items():
                 d = v.get(lam)
                 if d is not None:
-                    total = total + c * d * diag[lam]
+                    total = total + c * d * self._diagonal(product, lam)
             return total
 
         done: list[tuple[dict, dict, Coeff]] = []  # (m-coords, p-coords, norm)
@@ -633,7 +654,7 @@ class SymmetricFunctions:
             m_coords = {lam: ONE}
             p_coords = dict(m_to_p.column(lam))
             for prev_m, prev_p, prev_norm in done:
-                c = dot(p_coords, prev_p) / prev_norm
+                c = pair(p_coords, prev_p) / prev_norm
                 if c.is_zero():
                     continue
                 for mu, v in prev_m.items():
@@ -648,7 +669,7 @@ class SymmetricFunctions:
                         p_coords.pop(mu, None)
                     else:
                         p_coords[mu] = s
-            norm = dot(p_coords, p_coords)
+            norm = pair(p_coords, p_coords)
             if norm.is_zero():
                 raise ScalarProductError(
                     f"scalar product {product!r} degenerates at degree {n}, "

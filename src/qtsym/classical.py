@@ -204,7 +204,4 @@ def register_classical(S) -> None:
     S.declare_conversion("e", "m", expand(elementary_to_monomial))
     S.declare_conversion("s", "m", expand(schur_to_monomial))
 
-    S.declare_dual_pair("h", "m")
-    S.declare_dual_pair("s", "s")
-
     S.declare_operator("omega", "p", _omega_action(S))

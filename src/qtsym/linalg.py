@@ -5,11 +5,13 @@ in row-major lists of Coeff.  Rows and columns are keyed by arbitrary
 hashable labels (partitions in practice); keys travel with the matrix so
 composition and inversion cannot silently misalign bases.
 
-Composition divides once per entry: `coeffs.dot` brings the entry's
-products over their denominator of highest degree (scaled by any integer
-the others need), adds the numerators in Z[q,t] and takes one gcd.  Only
-an entry with a denominator that does not divide that one falls back to
-adding the products one at a time.
+Composition and matrix-vector products divide once per entry:
+`coeffs.dot` brings the entry's products over their denominator of
+highest degree (scaled by any integer the others need), adds the
+numerators in Z[q,t] and takes one gcd.  Only an entry with a denominator
+that does not divide that one falls back to adding the products one at a
+time.  Applying the matrix to a vector with one nonzero entry sums
+nothing: it scales that column.
 """
 
 from __future__ import annotations
@@ -66,11 +68,7 @@ class CoeffMatrix:
 
     def column(self, col_key: Key) -> dict[Key, Coeff]:
         j = self._col_index[col_key]
-        return {
-            rk: self.rows[i][j]
-            for i, rk in enumerate(self.row_keys)
-            if not self.rows[i][j].is_zero()
-        }
+        return {rk: row[j] for rk, row in zip(self.row_keys, self.rows) if row[j].num}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffMatrix):
@@ -102,21 +100,24 @@ class CoeffMatrix:
         return CoeffMatrix(self.col_keys, self.row_keys, rows)
 
     def apply(self, vector: Mapping[Key, Coeff]) -> dict[Key, Coeff]:
-        """Matrix-vector product; vectors are sparse dicts on column keys."""
+        """Matrix-vector product; vectors are sparse dicts on column keys.
+
+        A vector with one nonzero entry scales that column, with no sum;
+        otherwise each output entry is one `dot` over the vector's support.
+        """
+        terms = [(ck, v) for ck, v in vector.items() if v.num]
+        if len(terms) == 1:
+            [(ck, value)] = terms
+            column = self.column(ck)
+            if value.is_one():
+                return column
+            return {rk: e * value for rk, e in column.items()}
+        terms = [(self._col_index[ck], v) for ck, v in terms]
         out: dict[Key, Coeff] = {}
-        for ck, value in vector.items():
-            j = self._col_index[ck]
-            if value.is_zero():
-                continue
-            for i, rk in enumerate(self.row_keys):
-                e = self.rows[i][j]
-                if e.is_zero():
-                    continue
-                s = out.get(rk, ZERO) + e * value
-                if s.is_zero():
-                    out.pop(rk, None)
-                else:
-                    out[rk] = s
+        for rk, row in zip(self.row_keys, self.rows):
+            s = dot([(row[j], value) for j, value in terms])
+            if s.num:
+                out[rk] = s
         return out
 
     def invert(self, label: str = "") -> "CoeffMatrix":
@@ -162,10 +163,6 @@ class CoeffMatrix:
                         row[j] = row[j] - f * prow[j]
         # row keys and column keys swap roles in the inverse
         return CoeffMatrix(self.col_keys, self.row_keys, inv)
-
-    def solve(self, rhs: Mapping[Key, Coeff]) -> dict[Key, Coeff]:
-        """Solve self @ x = rhs for a single sparse right-hand side."""
-        return self.invert().apply(rhs)
 
     def is_identity(self) -> bool:
         if self.row_keys != self.col_keys:

@@ -183,5 +183,3 @@ def register_qt(S) -> None:
     S.declare_conversion("Q", "P", q_to_p)
     S.declare_conversion("QP", "s", qp_to_s)
     S.declare_conversion("McdP", "m", mcd_to_m)
-
-    S.declare_dual_pair("P", "QP")

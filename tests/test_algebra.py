@@ -1,6 +1,7 @@
 """The conversion engine: graph routing, arithmetic, scalar products,
 orthogonalization, operators, on-the-fly bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtsym import SymmetricFunctions
-from qtsym.coeffs import ONE, T, ZERO, Coeff
+from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
 from qtsym.errors import BasisError, PartitionError
 from qtsym.linalg import CoeffMatrix
 from qtsym.partitions import Partition, dominance_leq, partitions_of
@@ -213,6 +214,92 @@ def test_scalar_products_deformed(S):
         S.scalar(p([1]), p([1]), "no_such_product")
 
 
+def _zee_weight(product, lam):
+    """<p_lam, p_lam> for the three built-in pairings."""
+    out = Coeff.from_value(lam.zee())
+    for part in lam:
+        if product == "hall_qt":
+            out = out * (1 - Q**part)
+        if product != "hall":
+            out = out / (1 - T**part)
+    return out
+
+
+def _reference_scalar(S, f, g, product):
+    """<f, g> from both arguments in p, added one product at a time."""
+    fp, gp = S.convert(f, "p").terms, S.convert(g, "p").terms
+    total = ZERO
+    for lam, c in fp.items():
+        if lam in gp:
+            total = total + c * gp[lam] * _zee_weight(product, lam)
+    return total
+
+
+_PAIRING_BASES = ("m", "s", "h", "p", "P", "Q", "QP", "McdP")
+_PAIRING_COEFFS = (ONE, -ONE, Coeff.from_value(Fraction(3, 2)), T, 1 - Q, Q / (1 - T))
+
+
+def _random_element(S, rng, basis, degrees):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        lam = rng.choice(partitions_of(rng.choice(degrees)))
+        terms[lam] = rng.choice(_PAIRING_COEFFS)
+    return S.element(basis, terms)
+
+
+@pytest.mark.parametrize("product", ["hall", "hall_t", "hall_qt"])
+def test_scalar_equals_running_sum_in_p(S, product):
+    rng = random.Random(product)
+    for n in range(1, 5):
+        for a in _PAIRING_BASES:
+            for b in _PAIRING_BASES:
+                degrees = (n,) if rng.random() < 0.75 else (n, rng.randint(1, 4))
+                f = _random_element(S, rng, a, degrees)
+                g = _random_element(S, rng, b, degrees)
+                expected = _reference_scalar(S, f, g, product)
+                assert S.scalar(f, g, product) == expected, (f, g)
+
+
+def test_pairings_follow_registrations_made_after_them():
+    S2 = SymmetricFunctions()
+    X = S2.register_basis("X", "a copy of m")
+    S2.declare_conversion("X", "m", lambda lam: S2.element("m", lam))
+    p11 = S2["p"]([1, 1])
+    assert S2.scalar(X([1, 1]), p11) == ONE
+    h11 = S2["h"]([1, 1])
+    assert S2.scalar(X([1, 1]), h11, "hall_t") == _reference_scalar(
+        S2, S2["m"]([1, 1]), h11, "hall_t"
+    )
+    # a basis registered after a pairing pairs at once
+    Y = S2.register_basis("Y", "a copy of h")
+    S2.declare_conversion("Y", "h", lambda lam: S2.element("h", lam))
+    assert S2.scalar(X([1, 1]), Y([1, 1])) == ONE
+    assert S2.scalar(Y([2]), X([2])) == ONE
+    # a direct edge X -> p reroutes X to p; pairings follow the new route
+    S2.declare_conversion("X", "p", lambda lam: S2.element("p", lam))
+    assert S2.convert(X([1, 1]), "p") == p11
+    assert S2.scalar(X([1, 1]), p11) == Coeff.from_value(2)
+    assert S2.scalar(X([1, 1]), p11, "hall_t") == 2 / (1 - T) ** 2
+    S2.register_scalar_product("double", lambda lam: Coeff.from_value(2 * lam.zee()))
+    assert S2.scalar(X([1, 1]), p11, "double") == Coeff.from_value(4)
+
+
+def test_conversion_matrix_is_the_product_along_its_path():
+    S2 = SymmetricFunctions()
+    bases = [name for name, _ in S2.bases()]
+    for n in range(5):
+        for a in bases:
+            for b in bases:
+                if a == b:
+                    continue
+                got = S2.conversion_matrix(a, b, n)
+                expected = None
+                for edge in S2._find_path(a, b):
+                    step = S2._edge_matrix(edge, n)
+                    expected = step if expected is None else step @ expected
+                assert got == expected, (a, b, n)
+
+
 def test_duality_h_m(S):
     for n in range(7):
         for lam in partitions_of(n):
@@ -405,7 +492,6 @@ def test_conversion_must_stay_in_declared_basis():
 def test_transpose_conversion_forgotten_basis():
     S2 = SymmetricFunctions()
     f = S2.register_basis("f", "forgotten (transpose dual of e)")
-    S2.declare_dual_pair("e", "f")
     # e expands over m; the duals of (e, m) are (f, h), so h expands over f
     S2.declare_transpose_conversion("e", "m", "h", "f")
     for n in range(5):

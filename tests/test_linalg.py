@@ -1,10 +1,15 @@
 """Keyed matrices: composition, transpose, exact inversion."""
 
-import pytest
+from fractions import Fraction
 
-from qtsym.coeffs import ONE, T, ZERO, Coeff
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
 from qtsym.errors import SingularMatrixError
 from qtsym.linalg import CoeffMatrix
+from qtsym.partitions import partitions_of
 
 K = ("a", "b", "c")
 
@@ -70,9 +75,9 @@ def test_transpose_and_compose():
 
 def test_solve():
     m = CoeffMatrix(("a", "b"), ("a", "b"), [[ONE, T], [ZERO, ONE]])
-    x = m.solve({"a": c(3)})
+    x = m.invert().apply({"a": c(3)})
     assert x == {"a": c(3)}
-    x = m.solve({"a": ZERO + T, "b": ONE})
+    x = m.invert().apply({"a": ZERO + T, "b": ONE})
     assert m.apply(x) == {"a": T, "b": ONE}
 
 
@@ -117,3 +122,73 @@ def test_compose_equals_running_sum_on_conversion_matrices(S, hub, partners, deg
             back = S.conversion_matrix(other, hub, n)
             for a, b in ((back, forth), (forth, back)):
                 assert a @ b == _running_sum_matmul(a, b)
+
+
+def _running_sum_apply(m, vector):
+    """The matrix-vector product added up one Coeff product at a time."""
+    out = {}
+    for rk in m.row_keys:
+        total = ZERO
+        for ck, value in vector.items():
+            total = total + m.entry(rk, ck) * value
+        if not total.is_zero():
+            out[rk] = total
+    return out
+
+
+_APPLY_COEFFS = (
+    ZERO,
+    ONE,
+    -ONE,
+    c(2),
+    c(Fraction(-3, 2)),
+    T,
+    ONE - T,
+    ONE / (ONE - T),
+    (ONE - Q) / (ONE - Q * T),
+)
+_APPLY_MATRICES = (("McdP", "p"), ("P", "m"))
+
+
+def _apply_vectors(S, frm, to, n):
+    """Vectors with 0, 1 and several terms, and columns of the inverse,
+    whose images cancel on every row but one."""
+    keys = partitions_of(n)
+    inverse = S.conversion_matrix(to, frm, n)
+    yield {}
+    for shift, lam in enumerate(keys):
+        yield {lam: ONE}
+        yield {lam: ONE / (ONE - T)}
+        yield {lam: ZERO}
+        yield {
+            mu: _APPLY_COEFFS[(i + shift) % len(_APPLY_COEFFS)]
+            for i, mu in enumerate(keys)
+        }
+        yield {mu: v * (ONE - Q) for mu, v in inverse.column(lam).items()}
+
+
+@pytest.mark.parametrize("frm, to", _APPLY_MATRICES)
+def test_apply_cases_equal_running_sum(S, frm, to):
+    for n in range(1, 5):
+        m = S.conversion_matrix(frm, to, n)
+        for vector in _apply_vectors(S, frm, to, n):
+            assert m.apply(vector) == _running_sum_apply(m, vector), (n, vector)
+        inverse = S.conversion_matrix(to, frm, n)
+        for lam in partitions_of(n):
+            assert m.apply(inverse.column(lam)) == {lam: ONE}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_APPLY_MATRICES), st.integers(1, 4), st.data())
+def test_apply_equals_running_sum(S, pair, n, data):
+    frm, to = pair
+    m = S.conversion_matrix(frm, to, n)
+    keys = partitions_of(n)
+    coeffs = st.sampled_from(_APPLY_COEFFS)
+    vector = data.draw(st.dictionaries(st.sampled_from(keys), coeffs))
+    if data.draw(st.booleans()):
+        # add a scaled column of the inverse, so that most rows cancel
+        lam, scale = data.draw(st.sampled_from(keys)), data.draw(coeffs)
+        for mu, v in S.conversion_matrix(to, frm, n).column(lam).items():
+            vector[mu] = vector.get(mu, ZERO) + v * scale
+    assert m.apply(vector) == _running_sum_apply(m, vector)
