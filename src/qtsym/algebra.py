@@ -257,7 +257,8 @@ class SymmetricFunctions:
         }
         self._edge_matrices: dict[tuple[str, int], CoeffMatrix] = {}
         self._path_matrices: dict[tuple[str, str, int], CoeffMatrix] = {}
-        self._paths: dict[tuple[str, str], list[_Edge] | None] = {}
+        # per source basis, its breadth-first parent tree over _adjacency()
+        self._trees: dict[str, dict[str, tuple[str, _Edge] | None]] = {}
         self._gs_cache: dict[tuple[str, int], dict[Partition, SymElement]] = {}
         # scalar-product caches: diagonal values per (product, nu), and per
         # (product, basis, lam) the lam column over p weighted by them
@@ -392,7 +393,7 @@ class SymmetricFunctions:
     # -- the conversion graph ---------------------------------------------
 
     def _invalidate_routes(self) -> None:
-        self._paths.clear()
+        self._trees.clear()
         self._path_matrices.clear()
         self._diagonals.clear()
         self._weighted_columns.clear()
@@ -408,46 +409,44 @@ class SymmetricFunctions:
                 )
         return out
 
-    def _find_path(self, frm: str, to: str) -> list[_Edge] | None:
-        key = (frm, to)
-        if key in self._paths:
-            return self._paths[key]
+    def _parent_tree(self, frm: str) -> dict[str, tuple[str, _Edge] | None]:
+        """Every basis reachable from frm, in breadth-first order, mapped to
+        its parent and the edge from it (None for frm).  Parents are taken
+        first-come, level by level, so paths are shortest and deterministic."""
+        tree = self._trees.get(frm)
+        if tree is not None:
+            return tree
         adjacency = self._adjacency()
-        parents: dict[str, tuple[str, _Edge] | None] = {frm: None}
+        tree = {frm: None}
         queue = [frm]
-        while queue and to not in parents:
+        while queue:
             nxt: list[str] = []
             for node in queue:
                 for edge in adjacency:
-                    if edge.frm == node and edge.to not in parents:
-                        parents[edge.to] = (node, edge)
+                    if edge.frm == node and edge.to not in tree:
+                        tree[edge.to] = (node, edge)
                         nxt.append(edge.to)
             queue = nxt
-        if to not in parents:
-            self._paths[key] = None
+        self._trees[frm] = tree
+        return tree
+
+    def _find_path(self, frm: str, to: str) -> list[_Edge] | None:
+        tree = self._parent_tree(frm)
+        if to not in tree:
             return None
         path: list[_Edge] = []
         node = to
-        while parents[node] is not None:
-            prev, edge = parents[node]
+        while tree[node] is not None:
+            node, edge = tree[node]
             path.append(edge)
-            node = prev
         path.reverse()
-        self._paths[key] = path
         return path
 
     def distances_from(self, frm: str) -> dict[str, int]:
-        adjacency = self._adjacency()
-        dist = {frm: 0}
-        queue = [frm]
-        while queue:
-            nxt = []
-            for node in queue:
-                for edge in adjacency:
-                    if edge.frm == node and edge.to not in dist:
-                        dist[edge.to] = dist[node] + 1
-                        nxt.append(edge.to)
-            queue = nxt
+        dist: dict[str, int] = {}
+        # breadth-first order puts every parent before its children
+        for node, parent in self._parent_tree(frm).items():
+            dist[node] = 0 if parent is None else dist[parent[0]] + 1
         return dist
 
     def _edge_matrix(self, edge: _Edge, n: int) -> CoeffMatrix:

@@ -111,9 +111,11 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
 
 # ---------------------------------------------------------------------------
 # GCD machinery.  Strategy: split off the integer and monomial contents to
-# get primitive integer polynomials, then run a primitive
-# polynomial remainder sequence viewing each polynomial as a polynomial in
-# t whose coefficients are integer polynomials in q.
+# get primitive integer polynomials, try the heuristic GCD, and fall back to
+# a primitive polynomial remainder sequence viewing each polynomial as a
+# polynomial in t whose coefficients are integer polynomials in q.  Exact
+# division has one routine per representation: _poly_divexact in Z[q,t]
+# and _uni_divexact in Z[q], both raising ArithmeticError when inexact.
 
 UniPoly = dict[int, int]  # univariate integer polynomial, exponent -> coeff
 
@@ -183,8 +185,10 @@ def _uni_primitive(p: UniPoly) -> UniPoly:
     return {e: c // g for e, c in p.items()}
 
 
-# -- heuristic GCD: evaluate at a large integer, take the integer GCD,
-# lift the digits back to a polynomial, and verify by exact division.
+# -- heuristic GCD (GCDHEU, Char-Geddes-Gonnet 1989): evaluate at a large
+# integer, take the integer GCD, lift the digits back to a polynomial, and
+# accept the candidate only if _uni_divexact (_poly_divexact in two
+# variables) divides both inputs by it without raising.
 # Sound because a verified candidate reconstructed from gcd(f(x), g(x))
 # cannot be a proper divisor of the true GCD once x outgrows the
 # coefficients; on repeated failure callers fall back to a primitive
@@ -208,30 +212,28 @@ def _uni_eval(p: UniPoly, x: int) -> int:
     return sum(c * x**e for e, c in p.items())
 
 
-def _uni_divides(d: UniPoly, f: UniPoly) -> bool:
-    """Exact-division test for primitive integer polynomials."""
-    rem = dict(f)
-    dt = max(d)
-    dl = d[dt]
+def _uni_divexact(a: UniPoly, d: UniPoly) -> UniPoly:
+    """The quotient of a by d in Z[q]; ArithmeticError unless d divides a
+    exactly."""
+    quot: UniPoly = {}
+    rem = dict(a)
+    top = max(d)
+    lead = d[top]
     while rem:
         e = max(rem)
-        if e < dt:
-            return False
-        c = rem.pop(e)
-        if c % dl:
-            return False
-        k = c // dl
-        sh = e - dt
-        for ee, dc in d.items():
-            if ee == dt:
-                continue
-            tgt = ee + sh
-            s = rem.get(tgt, 0) - k * dc
+        c, r = divmod(rem[e], lead)
+        if e < top or r:
+            raise ArithmeticError("inexact polynomial division")
+        shift = e - top
+        quot[shift] = c
+        for ed, cd in d.items():
+            tgt = ed + shift
+            s = rem.get(tgt, 0) - c * cd
             if s:
                 rem[tgt] = s
             else:
                 rem.pop(tgt, None)
-    return True
+    return quot
 
 
 def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
@@ -246,8 +248,13 @@ def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
                 e: d for e, d in enumerate(_balanced_digits(image, x)) if d
             }
             cand = _uni_primitive(cand)
-            if cand and _uni_divides(cand, f) and _uni_divides(cand, g):
-                return cand
+            if cand:
+                try:
+                    _uni_divexact(f, cand)
+                    _uni_divexact(g, cand)
+                    return cand
+                except ArithmeticError:
+                    pass
         x = x * 73794 // 27011 + 47
     return None
 
@@ -298,30 +305,9 @@ def _layers_t_content(layers: IntBiv) -> UniPoly:
 
 
 def _layers_divide_uni(layers: IntBiv, d: UniPoly) -> IntBiv:
-    """Divide every t-layer by the univariate polynomial d (exact)."""
-    if d == {0: 1}:
-        return {et: dict(layer) for et, layer in layers.items()}
-    d_top = max(d)
-    d_lead = d[d_top]
-    out: IntBiv = {}
-    for et, layer in layers.items():
-        rem = dict(layer)
-        quot: UniPoly = {}
-        while rem:
-            e_top = max(rem)
-            c = rem[e_top] // d_lead
-            shift = e_top - d_top
-            quot[shift] = c
-            for e, dc in d.items():
-                tgt = e + shift
-                s = rem.get(tgt, 0) - c * dc
-                if s:
-                    rem[tgt] = s
-                else:
-                    rem.pop(tgt, None)
-        if quot:
-            out[et] = quot
-    return out
+    """Divide every t-layer by the univariate polynomial d; ArithmeticError
+    unless d divides each exactly."""
+    return {et: _uni_divexact(layer, d) for et, layer in layers.items()}
 
 
 def _layers_prem(a: IntBiv, b: IntBiv) -> IntBiv:
@@ -386,32 +372,6 @@ def _biv_lift_t(image: UniPoly, x: int) -> Poly:
     return out
 
 
-def _biv_divides(d: Poly, f: Poly) -> bool:
-    """Exact-division test for primitive integer bivariate polynomials."""
-    rem = dict(f)
-    ld = max(d)  # lex order, as in _poly_divexact
-    dl = d[ld]
-    while rem:
-        lr = max(rem)
-        dq, dt = lr[0] - ld[0], lr[1] - ld[1]
-        if dq < 0 or dt < 0:
-            return False
-        c = rem.pop(lr)
-        if c % dl:
-            return False
-        k = c // dl
-        for (eq, et), dc in d.items():
-            if (eq, et) == ld:
-                continue
-            tgt = (eq + dq, et + dt)
-            s = rem.get(tgt, 0) - k * dc
-            if s:
-                rem[tgt] = s
-            else:
-                rem.pop(tgt, None)
-    return True
-
-
 def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
     """Heuristic GCD of primitive integer bivariate polynomials, or None."""
     norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
@@ -426,8 +386,13 @@ def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
             if cont > 1:
                 image = {e: c * cont for e, c in image.items()}
             cand = _int_strip_content(_biv_lift_t(image, x))
-            if cand and _biv_divides(cand, f) and _biv_divides(cand, g):
-                return cand
+            if cand:
+                try:
+                    _poly_divexact(f, cand)
+                    _poly_divexact(g, cand)
+                    return cand
+                except ArithmeticError:
+                    pass
         x = x * 73794 // 27011 + 47
     return None
 

@@ -63,9 +63,9 @@ def _tokenize(src: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             out.append(_Token("num", src[i:j], i))
             i = j

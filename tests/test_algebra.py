@@ -359,6 +359,46 @@ def test_omega_is_linear(S):
         S.apply_operator("no_such_op", f)
 
 
+def test_operator_images_in_several_bases():
+    S2 = SymmetricFunctions()
+    s, m, p = S2["s"], S2["m"], S2["p"]
+
+    def split(lam):
+        # images in s for partitions of odd length, in m for the others
+        if len(lam) % 2:
+            return s(lam).scaled(Q) + s([lam.size])
+        return m(lam).scaled(ONE / (1 - T))
+
+    S2.declare_operator("split", "p", split)
+    f = p([2, 1]).scaled(T) + p([3]) + p([1, 1, 1]).scaled(ONE / (1 - Q)) + p([2])
+    got = S2.apply_operator("split", f)
+    want = S2.zero("p")
+    for lam, c in f.terms.items():
+        want = S2.add(want, split(lam).scaled(c))
+    assert got == want
+    assert got.basis == "m"
+    # an element outside the operator's basis is converted first
+    assert S2.apply_operator("split", S2.convert(f, "h")) == want
+
+    # images that cancel leave zero: across two bases once they are
+    # merged, and within one; the zero element maps to zero
+    def cancel(lam):
+        image = s([lam.size])
+        if len(lam) == 1:
+            return image
+        return S2.convert(image, "m").scaled(-ONE / (len(lam) - 1))
+
+    S2.declare_operator("cancel", "p", cancel)
+    for g in (
+        p([2]) + p([1, 1]),
+        p([3]).scaled(2) + p([2, 1]) + p([1, 1, 1]).scaled(2),
+        p([2, 1]) - p([1, 1, 1]).scaled(2),
+    ):
+        assert S2.apply_operator("cancel", g).is_zero()
+    zero = S2.apply_operator("split", S2.zero("h"))
+    assert zero.is_zero() and zero.basis == "p"
+
+
 def test_scaling_and_power(S):
     el = S["p"]([1])
     assert el / 2 == el.scaled(Coeff.from_value(Fraction(1, 2)))

@@ -242,6 +242,17 @@ def test_cli_eval_user_error_exit_code(capsys):
     assert code == 1 and "division by zero" in err
 
 
+def test_cli_eval_non_decimal_digits_are_user_errors(capsys):
+    # superscript digits are str.isdigit but not int(); they are rejected
+    # as characters, while other decimal digits still parse as numbers
+    for src in ("s[\u00b2]", "\u00b2", "q^\u00b2"):
+        code, out, err = run_cli(capsys, "eval", src)
+        assert code == 1 and out == "", src
+        assert err.startswith("error:") and "unexpected character" in err, src
+    code, out, err = run_cli(capsys, "eval", "s[\u0661]")
+    assert code == 0 and err == "" and out.strip() == "s[1]"
+
+
 def test_cli_eval_deep_nesting_is_user_error(capsys):
     deep = "(" * 3000 + "1" + ")" * 3000
     code, _, err = run_cli(capsys, "eval", deep)

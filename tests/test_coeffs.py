@@ -8,14 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtsym import coeffs
+from qtsym import SymmetricFunctions, coeffs
 from qtsym.coeffs import (
     ONE,
     Q,
     T,
     ZERO,
     Coeff,
-    _biv_divides,
     _biv_heugcd,
     _biv_to_layers,
     _int_biv_gcd,
@@ -26,6 +25,7 @@ from qtsym.coeffs import (
     _poly_divexact,
     _poly_gcd,
     _poly_mul,
+    _uni_divexact,
     _uni_gcd,
     _uni_mul,
     _uni_prem,
@@ -334,9 +334,86 @@ def test_prs_gcd_agrees_with_heuristic_gcd(f, g, h):
     fast = _biv_heugcd(a, b)
     slow = _int_biv_gcd(a, b)
     for factor in (a, b):
-        assert _biv_divides(_int_strip_content(slow), factor)
+        _poly_divexact(factor, _int_strip_content(slow))  # raises unless exact
     if fast is not None:
         assert _same_up_to_sign(_int_strip_content(slow), fast)
+
+
+def _gcd_workload():
+    """Coeff sums and products whose reduction needs a bivariate gcd of
+    many-term polynomials, and the degree-4 McdP -> m matrix built on a
+    fresh registry, all as (num, den) pairs."""
+    f, g, h = Coeff(F_COMMON), Coeff(G_COPRIME), Coeff(H_COPRIME)
+    values = [
+        f * g / (f * h),
+        g / (1 - Q * T) + h / ((1 - Q * T) * f),
+        (f * g + f * h) / (f * (1 - Q)),
+        ((1 - Q) / (1 - T)) ** 3 * ((1 - T**2) / (1 - Q**2)),
+        (f * g) / (g * h) - (f * h) / (g * g),
+    ]
+    matrix = SymmetricFunctions().conversion_matrix("McdP", "m", 4)
+    entries = [c for row in matrix.rows for c in row]
+    return [(c.num, c.den) for c in values + entries]
+
+
+def test_poly_gcd_remainder_sequence_runs():
+    # the heuristic GCD fails every time, so _poly_gcd reduces through the
+    # primitive remainder sequence in Z[q][t]; a fresh cache keeps the
+    # heuristic results from being reused
+    want = _gcd_workload()
+    calls = []
+
+    def counted_prs(a, b):
+        calls.append(1)
+        return _int_biv_gcd(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coeffs, "_biv_heugcd", lambda f, g: None)
+        mp.setattr(coeffs, "_int_biv_gcd", counted_prs)
+        mp.setattr(coeffs, "_GCD_CACHE", {})
+        got = _gcd_workload()
+    assert len(calls) > 10
+    assert got == want
+
+
+def test_heuristic_gcd_candidate_must_divide_both_inputs():
+    # both heuristics first evaluate at x = 31, where 1 + x = 32 divides
+    # 33 + x = 64: the lifted candidate is the input with constant 1, which
+    # divides that input but not the other one and must be rejected; the
+    # next point gives the true gcd
+    assert _uni_gcd({1: 1, 0: 33}, {1: 1, 0: 1}) == {0: 1}
+    assert _uni_gcd({1: 1, 0: 1}, {1: 1, 0: 33}) == {0: 1}
+    one_plus_q = {(0, 0): 1, (1, 0): 1}
+    f = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 33})
+    g = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 1})
+    assert _biv_heugcd(f, g) == one_plus_q
+    assert _biv_heugcd(g, f) == one_plus_q
+
+
+def test_biv_heugcd_gives_up_when_every_candidate_fails(monkeypatch):
+    def inexact(a, b):
+        raise ArithmeticError("inexact polynomial division")
+
+    monkeypatch.setattr(coeffs, "_poly_divexact", inexact)
+    a = _poly_mul(F_COMMON, G_COPRIME)
+    b = _poly_mul(F_COMMON, H_COPRIME)
+    assert _biv_heugcd(a, b) is None
+
+
+def test_uni_divexact_raises_when_inexact():
+    # (x + 1)(2x - 3) by x + 1, and by the constant 1
+    assert _uni_divexact({2: 2, 1: -1, 0: -3}, {1: 1, 0: 1}) == {1: 2, 0: -3}
+    assert _uni_divexact({3: 5, 0: -1}, {0: 1}) == {3: 5, 0: -1}
+    # a remainder, an integer quotient that would be floored, a divisor of
+    # higher degree
+    with pytest.raises(ArithmeticError):
+        _uni_divexact({2: 1, 0: 1}, {1: 1, 0: 1})
+    with pytest.raises(ArithmeticError):
+        _uni_divexact({1: 3, 0: 1}, {1: 2, 0: 1})
+    with pytest.raises(ArithmeticError):
+        _uni_divexact({1: 4, 0: 3}, {0: 2})
+    with pytest.raises(ArithmeticError):
+        _uni_divexact({1: 1}, {2: 1})
 
 
 def _uni_gcd_by_remainders(a, b):
