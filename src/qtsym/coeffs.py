@@ -828,6 +828,8 @@ def dot(pairs) -> Coeff:
     reduced by one gcd with D: fraction-free, as in Bareiss elimination.
     When one does not, a common denominator would be an lcm that can grow
     far past D, so the products are added one at a time as Coeff values.
+    Two cases skip all of this: a single nonzero product is returned as
+    a * b, and when every denominator is 1 the numerators are just added.
     """
     terms = []
     for a, b in pairs:
@@ -842,18 +844,25 @@ def dot(pairs) -> Coeff:
         terms.append((a, b, den))
     if not terms:
         return ZERO
-    top = max(terms, key=lambda term: max(eq + et for eq, et in term[2]))[2]
-    lift = _int_lcm(*(_int_gcd(*den.values()) for _, _, den in terms))
-    lift //= _int_gcd(*top.values())
-    if lift > 1:
-        top = {mono: c * lift for mono, c in top.items()}
-    try:
+    if len(terms) == 1:
+        a, b, _ = terms[0]
+        return a * b
+    if all(_poly_is_one(den) for _, _, den in terms):
         # None marks a cofactor of 1, which is never multiplied in
-        cofactors = [
-            None if den == top else _poly_divexact(top, den) for _, _, den in terms
-        ]
-    except ArithmeticError:
-        return sum((a * b for a, b, _ in terms), ZERO)
+        top, cofactors = _ONE_POLY, [None] * len(terms)
+    else:
+        top = max(terms, key=lambda term: max(eq + et for eq, et in term[2]))[2]
+        lift = _int_lcm(*(_int_gcd(*den.values()) for _, _, den in terms))
+        lift //= _int_gcd(*top.values())
+        if lift > 1:
+            top = {mono: c * lift for mono, c in top.items()}
+        try:
+            cofactors = [
+                None if den == top else _poly_divexact(top, den)
+                for _, _, den in terms
+            ]
+        except ArithmeticError:
+            return sum((a * b for a, b, _ in terms), ZERO)
     num: Poly = {}
     for (a, b, _), cofactor in zip(terms, cofactors):
         prod = _poly_mul(a.num, b.num)

@@ -3,7 +3,10 @@
 H_lam^(k) is graded by cospin: the coefficient of m_mu is the sum of
 t^cospin over k-ribbon tableaux of shape lam and weight mu, read off the
 spin histogram that ribbons.ribbon_spin_histogram sums over intermediate
-shapes without listing the tableaux.  Cospin is maxspin - spin, with
+shapes without listing the tableaux.  The histograms of all the weights
+of one shape are taken one after the other, so they share that shape's
+strip table (ribbons._strip_table): each horizontal strip inside lam is
+enumerated once, whatever the weight.  Cospin is maxspin - spin, with
 maxspin taken over all tableaux of the shape regardless of weight, so
 relative powers between different weights stay meaningful.  The result
 is symmetric in the sense that the coefficient polynomial only depends on
@@ -29,8 +32,11 @@ def spin_distributions(
     """Spin histograms of the k-ribbon tableaux of `shape`, per weight.
 
     Returns ({weight -> {spin -> count}}, maxspin).  Weights run over
-    partitions of |shape|/k.  Empty when the k-core is nonzero.
+    partitions of |shape|/k.  Empty when the k-core is nonzero.  Every
+    weight's histogram reads the same strip table of the shape.
     """
+    if k < 1:
+        raise TableauError("ribbon size must be a positive integer")
     if shape.size % k:
         return {}, 0
     core, _ = core_and_quotient(shape, k)

@@ -12,13 +12,26 @@ A horizontal k-ribbon strip is a sequence of such moves whose source
 positions strictly increase.  Ribbon tableaux are chains of horizontal
 strips starting at the empty partition.  Their spin histogram is summed
 over the bead tuples reached after each letter, without listing them.
+
+The strips inside one shape do not depend on the weight, so they are
+kept in a strip table per (k, shape beads): a memo from (beads, number
+of ribbons) to the strips' end beads, total spin and moves.  Listing
+tableaux and summing histograms read the same table, and consecutive
+calls for one shape (spin_distributions runs every weight in turn)
+share it.  Only the tables of the last four shapes are kept, so the
+memory they hold stays bounded however many shapes are asked for.
+
+Listing follows a strip only when its end state can still be completed
+by the remaining letters, which a liveness memo per call decides; a
+partial tableau that cannot be finished is never built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from operator import le
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import PartitionError, TableauError
 from .partitions import Partition
@@ -142,19 +155,21 @@ class RibbonTableau:
 
 def _strip_moves(
     beads: tuple[int, ...], k: int, count: int, cap: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+) -> list[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
     """All ways to add `count` ribbons as a horizontal strip.
 
     `beads` and `cap` are ascending bead tuples of equal length, `cap` the
-    ambient shape's.  Yields the final bead tuple and the list of moves
+    ambient shape's.  Lists the final bead tuple and the list of moves
     (bead tuple after the move, spin), with source positions strictly
     increasing.  Every move is pruned against `cap`.
     """
     size = len(beads)
+    out: list = []
+    moves: list[tuple[tuple[int, ...], int]] = []
 
-    def rec(cur: tuple[int, ...], first: int, left: int, moves: list):
+    def rec(cur: tuple[int, ...], first: int, left: int):
         if left == 0:
-            yield cur, list(moves)
+            out.append((cur, list(moves)))
             return
         # beads at index >= first lie above the previous source
         for i in range(first, size):
@@ -166,10 +181,11 @@ def _strip_moves(
             if not all(map(le, nxt, cap)):
                 continue
             moves.append((nxt, j - i - 1))
-            yield from rec(nxt, i, left - 1, moves)
+            rec(nxt, i, left - 1)
             moves.pop()
 
-    yield from rec(beads, 0, count, [])
+    rec(beads, 0, count)
+    return out
 
 
 def _tableau_ends(shape: Partition, weight: Sequence[int], k: int):
@@ -188,6 +204,26 @@ def _tableau_ends(shape: Partition, weight: Sequence[int], k: int):
     return weight, _beads(Partition(), length), _beads(shape, length)
 
 
+@lru_cache(maxsize=4)
+def _strip_table(k: int, cap: tuple[int, ...]):
+    """The strip table of one shape: a memoized `strips(beads, count)`
+    giving ((end beads, spin, moves), ...) in `_strip_moves` order, spin
+    being the strip's total.  Kept for the last four shapes only."""
+    memo: dict[tuple[tuple[int, ...], int], tuple] = {}
+
+    def strips(beads: tuple[int, ...], count: int) -> tuple:
+        key = (beads, count)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = tuple(
+                (end, sum(spin for _, spin in moves), tuple(moves))
+                for end, moves in _strip_moves(beads, k, count, cap)
+            )
+        return found
+
+    return strips
+
+
 def ribbon_tableaux(
     shape: Partition, weight: Sequence[int], k: int
 ) -> list[RibbonTableau]:
@@ -195,26 +231,47 @@ def ribbon_tableaux(
 
     The weight lists how many ribbons carry each letter; letters with
     weight zero are allowed.  The shape must hold exactly k times the
-    total weight in cells.
+    total weight in cells.  A strip is followed only when its end state
+    can still be completed to the whole shape by the remaining letters,
+    so no partial tableau is built in vain.
     """
     weight, start, cap = _tableau_ends(shape, weight, k)
+    strips = _strip_table(k, cap)
+    live: dict[tuple[tuple[int, ...], int], bool] = {}
     out: list[RibbonTableau] = []
 
-    def rec(beads, letter, chain, ribbons):
+    def alive(beads, letter) -> bool:
+        # after the last letter the strips hold |cap| cells inside cap,
+        # so they cover it
+        if letter == len(weight):
+            return True
+        key = (beads, letter)
+        found = live.get(key)
+        if found is None:
+            found = live[key] = any(
+                alive(end, letter + 1) for end, _, _ in strips(beads, weight[letter])
+            )
+        return found
+
+    def rec(beads, letter, chain, ribbons, start_rows):
+        # start_rows are the row lengths of beads
         if letter == len(weight):  # every cell of the shape is covered
             out.append(RibbonTableau(k, shape, weight, chain, ribbons))
             return
-        for nxt_beads, moves in _strip_moves(beads, k, weight[letter], cap):
-            rows = _rows(beads)
+        for end, _, moves in strips(beads, weight[letter]):
+            if not alive(end, letter + 1):
+                continue
+            rows = start_rows
             new_ribbons = list(ribbons)
             for stepped, spin in moves:
                 stepped_rows = _rows(stepped)
                 new_ribbons.append((letter + 1, _cells(rows, stepped_rows), spin))
                 rows = stepped_rows
             strip_end = Partition(r for r in rows if r)
-            rec(nxt_beads, letter + 1, chain + [strip_end], new_ribbons)
+            rec(end, letter + 1, chain + [strip_end], new_ribbons, rows)
 
-    rec(start, 0, [Partition()], [])
+    if alive(start, 0):
+        rec(start, 0, [Partition()], [], _rows(start))
     return out
 
 
@@ -225,8 +282,11 @@ def ribbon_spin_histogram(
 
     Counts the same tableaux as ribbon_tableaux, summing over the
     intermediate bead tuples after each letter instead of listing them.
+    The strips come from the shape's strip table, shared with every other
+    weight of the shape.
     """
     weight, start, cap = _tableau_ends(shape, weight, k)
+    strips = _strip_table(k, cap)
     memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
 
     def hist(beads, letter) -> dict[int, int]:
@@ -235,8 +295,7 @@ def ribbon_spin_histogram(
         key = (beads, letter)
         if key not in memo:
             total: dict[int, int] = {}
-            for nxt, moves in _strip_moves(beads, k, weight[letter], cap):
-                shift = sum(spin for _, spin in moves)
+            for nxt, shift, _ in strips(beads, weight[letter]):
                 for spin, count in hist(nxt, letter + 1).items():
                     total[spin + shift] = total.get(spin + shift, 0) + count
             memo[key] = total

@@ -1,4 +1,4 @@
-"""Rigged configurations and the cocharge route to Kostka polynomials.
+"""Rigged configurations and the fermionic formula for Kostka polynomials.
 
 For partitions lam and mu of the same size, a configuration is a
 sequence of partitions nu^(1), nu^(2), ... with |nu^(a)| equal to the
@@ -20,6 +20,17 @@ Summing t^cc over all rigged configurations gives the same information
 as the charge generating polynomial, with t inverted and shifted by the
 weight statistic n(mu).
 
+Q_i(rho) is the prefix sum alpha_1 + ... + alpha_i of the conjugate's
+parts, so each partition's vector (Q_0, ..., Q_n), n = |mu|, is computed
+once and every vacancy is three lookups; the column heights are its
+differences.  The m_i labels of the parts of size i range over the
+weakly decreasing sequences in 0..p_i, whose label sums have the
+Gaussian binomial [p_i + m_i, m_i]_t as generating function.  So
+rc_kostka never lists riggings: it sums the Kirillov-Reshetikhin
+fermionic formula
+
+    sum over admissible nu of t^quad(nu) * prod_{a,i} [p_i^(a) + m_i^(a), m_i^(a)]_t.
+
 The enumeration picks nu^(1), nu^(2), ... depth-first.  Since the
 vacancies of component a read only nu^(a-1), nu^(a) and nu^(a+1),
 component a is checked as soon as nu^(a+1) is chosen, and a prefix that
@@ -30,15 +41,58 @@ never built.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
+from functools import lru_cache
+from types import MappingProxyType
 
-from .coeffs import Coeff
+from .coeffs import Coeff, _uni_mul
 from .errors import PartitionError
 from .partitions import Partition, partitions_of
 from .render import boxed_rows
 
 
-def _q_stat(rho: Partition, i: int) -> int:
-    return sum(min(i, part) for part in rho)
+@lru_cache(maxsize=None)
+def _q_vector(rho: Partition, n: int) -> tuple[int, ...]:
+    """(Q_0(rho), ..., Q_n(rho)), the prefix sums of rho's conjugate."""
+    conj = rho.conjugate().parts
+    out = [0]
+    for i in range(n):
+        out.append(out[-1] + (conj[i] if i < len(conj) else 0))
+    return tuple(out)
+
+
+def _quadratic(nus, n: int) -> int:
+    """sum_{a,i} alpha_i^(a) (alpha_i^(a) - alpha_i^(a+1)), read off the
+    Q vectors; nu past the last component is empty."""
+    total = 0
+    for cur, nxt in zip(nus, nus[1:] + (Partition(),)):
+        qc, qn = _q_vector(cur, n), _q_vector(nxt, n)
+        for i in range(1, n + 1):
+            alpha = qc[i] - qc[i - 1]
+            total += alpha * (alpha - qn[i] + qn[i - 1])
+    return total
+
+
+@lru_cache(maxsize=None)
+def _gaussian(p: int, m: int) -> Mapping[int, int]:
+    """[p + m, m]_t as a read-only {e: c}: m labels in 0..p, weakly
+    decreasing, counted by their sum."""
+    if p == 0 or m == 0:
+        return MappingProxyType({0: 1})
+    # either every label is below p, or the first label is p
+    out = dict(_gaussian(p - 1, m))
+    for e, c in _gaussian(p, m - 1).items():
+        out[e + p] = out.get(e + p, 0) + c
+    return MappingProxyType(out)
+
+
+def _labels(p: int, count: int) -> list[tuple[int, ...]]:
+    """The weakly decreasing label tuples of `count` equal parts with
+    vacancy p, in the order of combinations_with_replacement."""
+    return [
+        tuple(sorted(labels, reverse=True))
+        for labels in itertools.combinations_with_replacement(range(p + 1), count)
+    ]
 
 
 class RiggedConfiguration:
@@ -62,11 +116,10 @@ class RiggedConfiguration:
 
     def vacancy(self, a: int, i: int) -> int:
         """Vacancy of row size i in component a (1-based)."""
-        return (
-            _q_stat(self._neighbor(a - 1), i)
-            - 2 * _q_stat(self._neighbor(a), i)
-            + _q_stat(self._neighbor(a + 1), i)
-        )
+        # Q_0 .. Q_n are exact for any rho, so n only has to reach i
+        n = max(i, self.mu.size)
+        prev, cur, nxt = (_q_vector(self._neighbor(b), n) for b in (a - 1, a, a + 1))
+        return prev[i] - 2 * cur[i] + nxt[i]
 
     def validate(self) -> bool:
         tails = [sum(self.lam.parts[a:]) for a in range(1, max(len(self.lam), 1))]
@@ -92,15 +145,9 @@ class RiggedConfiguration:
         return True
 
     def cocharge(self) -> int:
-        total = sum(sum(r) for r in self.riggings)
-        for a in range(1, len(self.nus) + 1):
-            cur = self._neighbor(a).conjugate()
-            nxt = self._neighbor(a + 1).conjugate()
-            for i in range(len(cur)):
-                alpha = cur.parts[i]
-                alpha_next = nxt.parts[i] if i < len(nxt) else 0
-                total += alpha * (alpha - alpha_next)
-        return total
+        # Q vectors must reach every column; past |mu| only if malformed
+        n = max([self.mu.size, *(nu.size for nu in self.nus)])
+        return sum(sum(r) for r in self.riggings) + _quadratic(self.nus, n)
 
     def render(self) -> str:
         blocks: list[str] = []
@@ -136,72 +183,86 @@ class RiggedConfiguration:
         return f"RiggedConfiguration(nus={self.nus}, riggings={self.riggings})"
 
 
-def _component_riggings(
-    prev: Partition, cur: Partition, nxt: Partition
-) -> list[tuple[int, ...]] | None:
-    """The riggings of component cur between neighbours prev and nxt, or
-    None when some occupied row size has negative vacancy.
+def _configurations(lam: Partition, mu: Partition):
+    """Yield (nus, vacancies) for each admissible configuration, in the
+    order of the product of the components' `partitions_of` lists.
 
-    Equal parts form one group, largest size first, with labels weakly
-    decreasing inside a group; the riggings run over the product of the
-    groups' label choices.
-    """
-    groups: list[list[tuple[int, ...]]] = []
-    for size, count in sorted(cur.multiplicities().items(), reverse=True):
-        p = _q_stat(prev, size) - 2 * _q_stat(cur, size) + _q_stat(nxt, size)
-        if p < 0:
-            return None
-        groups.append(
-            [
-                tuple(sorted(labels, reverse=True))
-                for labels in itertools.combinations_with_replacement(
-                    range(p + 1), count
-                )
-            ]
-        )
-    return [sum(pick, ()) for pick in itertools.product(*groups)]
-
-
-def rigged_configurations(lam: Partition, mu: Partition) -> list[RiggedConfiguration]:
-    """All rigged configurations for the pair (lam, mu).
-
-    Components are chosen depth-first, each from `partitions_of` of its
-    size, so the configurations come out in the order of the product of
-    those lists.  The vacancies of component a depend only on nu^(a-1),
-    nu^(a) and nu^(a+1), so component a is checked as soon as nu^(a+1) is
-    chosen (the last one against the empty partition) and an inadmissible
-    prefix is cut with everything below it.
+    vacancies[a - 1] lists (count, p) for each occupied row size of
+    component a, largest size first.  Component a is checked as soon as
+    nu^(a+1) is chosen (the last one against the empty partition), and an
+    inadmissible prefix is cut with everything below it.
     """
     if lam.size != mu.size:
         raise PartitionError(
             f"rigged configurations need equal sizes, got {lam} and {mu}"
         )
+    n = mu.size
     tails = [sum(lam.parts[a:]) for a in range(1, max(len(lam), 1))]
     # an empty nu after the last component closes the last check
     sizes = tails + [0]
-    out: list[RiggedConfiguration] = []
 
-    def extend(chain: list[Partition], riggings: list[list[tuple[int, ...]]]):
-        # chain is mu = nu^(0), nu^(1), ..., nu^(a); riggings holds those of
-        # components 1 .. a-1, each checked when its successor was chosen
-        if len(chain) == len(sizes) + 1:
-            for pick in itertools.product(*riggings):
-                out.append(RiggedConfiguration(lam, mu, chain[1:-1], pick))
+    def extend(chain, qs, vacancies):
+        # chain is mu = nu^(0), nu^(1), ..., nu^(a) and qs their Q vectors;
+        # vacancies holds those of components 1 .. a-1
+        depth = len(chain)
+        if depth == len(sizes) + 1:
+            yield tuple(chain[1:-1]), vacancies
             return
-        for nu in partitions_of(sizes[len(chain) - 1]):
-            if len(chain) == 1:
-                extend(chain + [nu], riggings)
-            elif (found := _component_riggings(chain[-2], chain[-1], nu)) is not None:
-                extend(chain + [nu], riggings + [found])
+        if depth == 1:
+            for nu in partitions_of(sizes[0]):
+                yield from extend(chain + [nu], qs + [_q_vector(nu, n)], vacancies)
+            return
+        prev, cur = qs[-2], qs[-1]
+        rows = sorted(chain[-1].multiplicities().items(), reverse=True)
+        for nu in partitions_of(sizes[depth - 1]):
+            q = _q_vector(nu, n)
+            groups = []
+            for size, count in rows:
+                p = prev[size] - 2 * cur[size] + q[size]
+                if p < 0:
+                    break
+                groups.append((count, p))
+            else:
+                yield from extend(chain + [nu], qs + [q], vacancies + [groups])
 
-    extend([mu], [])
+    yield from extend([mu], [_q_vector(mu, n)], [])
+
+
+def rigged_configurations(lam: Partition, mu: Partition) -> list[RiggedConfiguration]:
+    """All rigged configurations for the pair (lam, mu).
+
+    Configurations come out in the order of the product of the
+    components' `partitions_of` lists; the riggings of one configuration
+    run over the product of its components' label choices, and inside a
+    component over the product of its equal-part groups, largest size
+    first.
+    """
+    out: list[RiggedConfiguration] = []
+    for nus, vacancies in _configurations(lam, mu):
+        per_component = [
+            [
+                sum(pick, ())
+                for pick in itertools.product(*(_labels(p, c) for c, p in groups))
+            ]
+            for groups in vacancies
+        ]
+        for pick in itertools.product(*per_component):
+            out.append(RiggedConfiguration(lam, mu, nus, pick))
     return out
 
 
 def rc_kostka(lam: Partition, mu: Partition) -> Coeff:
-    """Generating polynomial of cocharge over rigged configurations."""
+    """Generating polynomial of cocharge over rigged configurations, by
+    the fermionic formula: each admissible configuration contributes
+    t^quad times one Gaussian binomial per occupied row size."""
+    n = mu.size
     counts: dict[int, int] = {}
-    for rc in rigged_configurations(lam, mu):
-        cc = rc.cocharge()
-        counts[cc] = counts.get(cc, 0) + 1
+    for nus, vacancies in _configurations(lam, mu):
+        poly = {_quadratic(nus, n): 1}
+        for groups in vacancies:
+            for count, p in groups:
+                if p:
+                    poly = _uni_mul(poly, _gaussian(p, count))
+        for e, c in poly.items():
+            counts[e] = counts.get(e, 0) + c
     return Coeff.from_t_poly(counts)

@@ -577,6 +577,20 @@ def test_dot_fixed_cases():
     assert dot([(ONE / (1 - Q), ONE), (-Q, ONE / (1 - Q))]) == ONE
 
 
+def test_dot_short_paths():
+    # one nonzero product, among zero pairs: exactly a * b
+    a, b = (1 + Q) / (1 - T), (1 - T) / (2 - Q * T)
+    got = dot([(ZERO, ONE / (1 - Q)), (a, b), (Q, ZERO)])
+    want = a * b
+    assert got.num == want.num and got.den == want.den
+    # every denominator 1: the numerators are added, cancelling terms drop
+    got = dot([(1 + Q, 1 - Q), (Q * Q, ONE), (T, 3 * Q)])
+    assert got.num == {(0, 0): 1, (1, 1): 3} and got.den == {(0, 0): 1}
+    cancelled = dot([(Q, T), (-T, Q)])
+    assert cancelled == ZERO
+    _assert_canonical(cancelled)
+
+
 # denominators from a small family, so that one list of products mixes
 # equal, nested and non-nested denominators and integer constants
 _DOT_DENS = [

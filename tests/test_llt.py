@@ -47,6 +47,9 @@ def test_nonempty_core_gives_zero(S):
 def test_ribbon_size_must_be_positive(S):
     with pytest.raises(TableauError):
         llt_in_m(S, Partition([2]), 0)
+    for k in (0, -2):
+        with pytest.raises(TableauError, match="positive integer"):
+            spin_distributions(Partition([2, 2]), k)
 
 
 def test_t_one_specialization_is_quotient_product(S):

@@ -6,11 +6,15 @@ from math import factorial, prod
 import pytest
 
 from qtsym.errors import PartitionError, TableauError
-from qtsym.partitions import Partition, partitions_of
+from qtsym.partitions import Partition, distinct_permutations, partitions_of
 from qtsym.ribbons import (
     RibbonTableau,
+    _beads,
+    _strip_moves,
+    _strip_table,
     core_and_quotient,
     from_core_and_quotient,
+    ribbon_cells,
     ribbon_spin_histogram,
     ribbon_strip_spins,
     ribbon_tableaux,
@@ -449,3 +453,79 @@ def test_standard_ribbon_count_stanton_white():
                 assert len(ribbon_tableaux(shape, (1,) * n, k)) == expected, (shape, k)
                 shapes += 1
     assert shapes == 109
+
+
+def _empty_core_cases():
+    """(shape, weight, k) for every shape with empty k-core (k = 2 through
+    size 8, k = 3 through size 9) and every weight with positive parts,
+    plus each weight with a zero letter in front."""
+    for k, top in ((2, 8), (3, 9)):
+        for size in range(0, top + 1, k):
+            for shape in partitions_of(size):
+                if core_and_quotient(shape, k)[0] != Partition():
+                    continue
+                for mu in partitions_of(size // k):
+                    for weight in distinct_permutations(mu.parts):
+                        yield shape, tuple(weight), k
+                    yield shape, (0,) + mu.parts, k
+
+
+def _unpruned_tableaux_json(shape, weight, k):
+    """Depth-first over every strip `_strip_moves` lists, dead ends
+    included, with cells taken by ribbon_cells between the shapes."""
+    length = max(k, len(shape) + k)
+    cap = _beads(shape, length)
+
+    def shape_of(beads):
+        desc = sorted(beads, reverse=True)
+        return Partition(x for x in (desc[i] - (length - 1 - i) for i in range(length)) if x)
+
+    out = []
+
+    def rec(beads, letter, chain, ribbons):
+        if letter == len(weight):
+            if beads == cap:
+                out.append(RibbonTableau(k, shape, weight, chain, ribbons).to_json())
+            return
+        for end, moves in _strip_moves(beads, k, weight[letter], cap):
+            before = shape_of(beads)
+            added = list(ribbons)
+            for stepped, spin in moves:
+                after = shape_of(stepped)
+                added.append((letter + 1, ribbon_cells(before, after), spin))
+                before = after
+            rec(end, letter + 1, chain + [before], added)
+
+    rec(_beads(Partition(), length), 0, [Partition()], [])
+    return out
+
+
+def test_pruned_listing_matches_unpruned_search():
+    cases = 0
+    for shape, weight, k in _empty_core_cases():
+        got = [tab.to_json() for tab in ribbon_tableaux(shape, weight, k)]
+        assert got == _unpruned_tableaux_json(shape, weight, k), (shape, weight, k)
+        cases += 1
+    assert cases > 200
+
+
+def test_shared_strip_table_gives_the_same_histograms():
+    by_shape = {}
+    for shape, weight, k in _empty_core_cases():
+        by_shape.setdefault((shape, k), []).append(weight)
+    for (shape, k), weights in by_shape.items():
+        _strip_table.cache_clear()
+        shared = [ribbon_spin_histogram(shape, w, k) for w in weights]
+        assert _strip_table.cache_info().currsize == 1
+        for weight, hist in zip(weights, shared):
+            _strip_table.cache_clear()
+            assert ribbon_spin_histogram(shape, weight, k) == hist, (shape, weight, k)
+
+
+def test_strip_tables_are_kept_for_few_shapes():
+    _strip_table.cache_clear()
+    for n in range(0, 13, 3):
+        for shape in partitions_of(n):
+            if core_and_quotient(shape, 3)[0] == Partition():
+                ribbon_spin_histogram(shape, (n // 3,), 3)
+    assert _strip_table.cache_info().currsize == 4

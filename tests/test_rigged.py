@@ -4,10 +4,16 @@ import itertools
 
 import pytest
 
-from qtsym.coeffs import ONE, T
+from qtsym.coeffs import ONE, T, Coeff
 from qtsym.errors import PartitionError
 from qtsym.partitions import Partition, partitions_of
-from qtsym.rigged import RiggedConfiguration, rc_kostka, rigged_configurations
+from qtsym.rigged import (
+    RiggedConfiguration,
+    _gaussian,
+    _q_vector,
+    rc_kostka,
+    rigged_configurations,
+)
 from qtsym.tableaux import kostka_number, kostka_poly
 
 
@@ -152,3 +158,48 @@ def test_render_and_json():
     assert data["cocharge"] == rc.cocharge()
     empty = rigged_configurations(Partition([3]), Partition([1, 1, 1]))[0]
     assert empty.render() == "(no components)"
+
+
+def test_gaussian_binomial_goldens():
+    # [p + m, m]_t counts m weakly decreasing labels in 0..p by their sum
+    assert _gaussian(2, 2) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}  # [4,2]_t
+    assert _gaussian(3, 1) == {0: 1, 1: 1, 2: 1, 3: 1}  # [4,1]_t
+    assert _gaussian(2, 3) == {0: 1, 1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1}  # [5,3]_t
+    assert _gaussian(0, 4) == {0: 1}
+    assert _gaussian(5, 0) == {0: 1}
+    for p in range(5):
+        for m in range(5):
+            labels = itertools.combinations_with_replacement(range(p + 1), m)
+            counts: dict[int, int] = {}
+            for pick in labels:
+                counts[sum(pick)] = counts.get(sum(pick), 0) + 1
+            assert _gaussian(p, m) == counts, (p, m)
+
+
+def test_fermionic_sum_matches_listed_riggings():
+    # the closed form against t^cocharge summed over every listed rigging
+    for n in range(8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                counts: dict[int, int] = {}
+                for rc in rigged_configurations(lam, mu):
+                    counts[rc.cocharge()] = counts.get(rc.cocharge(), 0) + 1
+                assert rc_kostka(lam, mu) == Coeff.from_t_poly(counts), (lam, mu)
+
+
+def test_fermionic_sum_matches_charge_at_degree_8():
+    shapes = partitions_of(8)
+    assert len(shapes) ** 2 == 484
+    for lam in shapes:
+        for mu in shapes:
+            charge_side = kostka_poly(lam, mu.parts)
+            expected = T ** mu.n_stat() * charge_side.substitute(t=ONE / T)
+            assert rc_kostka(lam, mu) == expected, (lam, mu)
+
+
+def test_q_vectors_are_prefix_sums_of_the_conjugate():
+    for n in range(7):
+        for rho in partitions_of(n):
+            q = _q_vector(rho, 9)
+            assert len(q) == 10
+            assert q == tuple(sum(min(i, part) for part in rho) for i in range(10))
