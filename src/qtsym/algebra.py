@@ -51,6 +51,14 @@ class _Edge:
         self.key = key
 
 
+def _by_degree(terms: Mapping[Partition, Coeff]) -> dict[int, dict[Partition, Coeff]]:
+    """The terms split by degree, in increasing degree."""
+    split: dict[int, dict[Partition, Coeff]] = {}
+    for lam, c in terms.items():
+        split.setdefault(lam.size, {})[lam] = c
+    return dict(sorted(split.items()))
+
+
 class SymElement:
     """A finite Q(q,t)-linear combination of basis elements."""
 
@@ -73,12 +81,9 @@ class SymElement:
         return sorted(self.terms, key=lambda p: (p.size, p.parts))
 
     def homogeneous_components(self) -> dict[int, "SymElement"]:
-        split: dict[int, dict[Partition, Coeff]] = {}
-        for lam, c in self.terms.items():
-            split.setdefault(lam.size, {})[lam] = c
         return {
             n: SymElement(self.algebra, self.basis, terms)
-            for n, terms in sorted(split.items())
+            for n, terms in _by_degree(self.terms).items()
         }
 
     def convert(self, target: str) -> "SymElement":
@@ -266,6 +271,8 @@ class SymmetricFunctions:
         self._weighted_columns: dict[
             tuple[str, str, Partition], dict[Partition, Coeff]
         ] = {}
+        # per (operator, partition), the operator's image of that partition
+        self._operator_images: dict[tuple[str, Partition], SymElement] = {}
         if full:
             from .classical import register_classical
             from .qt import register_qt
@@ -504,14 +511,18 @@ class SymmetricFunctions:
         return matrix
 
     def convert(self, el: SymElement, target: str) -> SymElement:
+        """el in the target basis, one degree at a time.
+
+        The terms are split by degree into plain dicts, and each is applied
+        to that degree's conversion matrix; the degrees share no partition,
+        so the images just fill one output dict.
+        """
         self._require_basis(target)
         if el.basis == target:
             return el
         out: dict[Partition, Coeff] = {}
-        for n, comp in el.homogeneous_components().items():
-            matrix = self.conversion_matrix(el.basis, target, n)
-            for lam, c in matrix.apply(comp.terms).items():
-                out[lam] = c
+        for n, terms in _by_degree(el.terms).items():
+            out.update(self.conversion_matrix(el.basis, target, n).apply(terms))
         return SymElement(self, target, out)
 
     def common_basis(self, a: str, b: str) -> str:
@@ -682,6 +693,14 @@ class SymmetricFunctions:
     # -- operators ---------------------------------------------------------
 
     def apply_operator(self, name: str, el: SymElement) -> SymElement:
+        """The linear extension of the operator's action, applied to el.
+
+        The action's image of each partition is cached on this registry,
+        keyed by (operator, partition), so the action runs once per
+        partition for the life of the registry; actions must therefore be
+        pure.  An image that is not an element is never cached, so it
+        raises BasisError on every call.
+        """
         try:
             op = self._operators[name]
         except KeyError:
@@ -689,9 +708,12 @@ class SymmetricFunctions:
         src = self.convert(el, op.basis)
         buckets: dict[str, dict[Partition, Coeff]] = {}
         for lam, c in src.terms.items():
-            image = op.action(lam)
-            if not isinstance(image, SymElement):
-                raise BasisError(f"operator {name!r} returned a non-element")
+            image = self._operator_images.get((name, lam))
+            if image is None:
+                image = op.action(lam)
+                if not isinstance(image, SymElement):
+                    raise BasisError(f"operator {name!r} returned a non-element")
+                self._operator_images[(name, lam)] = image
             bucket = buckets.setdefault(image.basis, {})
             for mu, d in image.terms.items():
                 s = bucket.get(mu, ZERO) + c * d

@@ -4,6 +4,8 @@ Subcommands: eval (expression language), partitions, tableaux, ribbons,
 rc, kostka, genkostka, llt, bases.  Every subcommand accepts
 ``--format text|json``.  Exit codes: 0 success, 1 user error (bad
 syntax, bad input, precondition violations), 2 internal failure.
+The ribbon, LLT and rigged-configuration modules are imported inside the
+subcommands that use them, so ``eval`` starts without loading them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ from .algebra import SymElement, SymmetricFunctions
 from .coeffs import Coeff
 from .errors import UserInputError
 from .exprs import evaluate, parse_partition_text
-from .llt import generalized_kostka, llt_in_m
 from .partitions import Partition, partitions_of
-from .rigged import rigged_configurations
-from .ribbons import ribbon_tableaux
 from .tableaux import charge, kostka_poly, ssyt
 
 
@@ -109,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _var_names(raw: str | None) -> tuple[str, str]:
+def _var_names(raw: str | None, S: SymmetricFunctions) -> tuple[str, str]:
     if raw is None:
         return "q", "t"
     pieces = [piece.strip() for piece in raw.split(",")]
@@ -117,7 +116,15 @@ def _var_names(raw: str | None) -> tuple[str, str]:
         raise UserInputError(
             f"--var-names takes two comma-separated names, got {raw!r}"
         )
-    return pieces[0], pieces[1]
+    qname, tname = pieces
+    for name in pieces:
+        if not name.isidentifier():
+            raise UserInputError(f"--var-names: {name!r} is not an identifier")
+        if name in S:
+            raise UserInputError(f"--var-names: {name!r} is a basis name")
+    if qname == tname:
+        raise UserInputError(f"--var-names: the two names must differ, got {raw!r}")
+    return qname, tname
 
 
 def _print_blocks(blocks: list[str]) -> None:
@@ -126,7 +133,7 @@ def _print_blocks(blocks: list[str]) -> None:
 
 def _cmd_eval(args) -> None:
     S = SymmetricFunctions()
-    qname, tname = _var_names(args.var_names)
+    qname, tname = _var_names(args.var_names, S)
     value = evaluate(S, args.expression)
     if isinstance(value, Coeff) and args.basis:
         value = S.element(args.basis, {Partition(): value})
@@ -171,6 +178,8 @@ def _cmd_tableaux(args) -> None:
 
 
 def _cmd_ribbons(args) -> None:
+    from .ribbons import ribbon_tableaux
+
     shape = parse_partition_text(args.shape)
     weight = parse_partition_text(args.weight)
     items = ribbon_tableaux(shape, weight.parts, args.k)
@@ -181,6 +190,8 @@ def _cmd_ribbons(args) -> None:
 
 
 def _cmd_rc(args) -> None:
+    from .rigged import rigged_configurations
+
     lam = parse_partition_text(args.lam)
     mu = parse_partition_text(args.mu)
     items = rigged_configurations(lam, mu)
@@ -203,6 +214,8 @@ def _cmd_kostka(args) -> None:
 
 
 def _cmd_genkostka(args) -> None:
+    from .llt import generalized_kostka
+
     S = SymmetricFunctions()
     lam = parse_partition_text(args.lam)
     mu = parse_partition_text(args.mu)
@@ -214,6 +227,8 @@ def _cmd_genkostka(args) -> None:
 
 
 def _cmd_llt(args) -> None:
+    from .llt import llt_in_m
+
     S = SymmetricFunctions()
     shape = parse_partition_text(args.shape)
     element = S.convert(llt_in_m(S, shape, args.k), args.basis)

@@ -17,6 +17,13 @@ Coeff values can key dicts and land in sets.  `numerator_terms()` and
 `denominator_terms()` present the same value with the denominator scaled
 monic and Fraction coefficients, the form rendering uses.  All operations
 are exact; nothing here ever rounds.
+
+Two short paths skip arithmetic whose result is known in advance.  A
+product with an integer constant k scales the other operand: with num and
+den coprime, k * num / den only needs g = gcd(k, content(den)) divided out
+of k and den, so it takes no polynomial gcd, no polynomial product and no
+`_canonical` (times 1 it is the other operand itself).  And `_poly_gcd`
+returns 1 at once when either argument is 1.
 """
 
 from __future__ import annotations
@@ -445,6 +452,8 @@ def _poly_gcd(a: Poly, b: Poly) -> Poly:
     shared through the cache."""
     if not a or not b:
         return {}
+    if _poly_is_one(a) or _poly_is_one(b):
+        return _ONE_POLY
     if len(a) == 1 or len(b) == 1:
         # a monomial factor: componentwise minimum exponents
         mq = min(min(eq for eq, _ in a), min(eq for eq, _ in b))
@@ -498,11 +507,29 @@ def _make(num: Poly, den: Poly) -> "Coeff":
     return c
 
 
+def _scaled(x: "Coeff", k: int) -> "Coeff":
+    """k * x for a nonzero integer k, canonical without a polynomial gcd:
+    x.num and x.den are coprime, so k * x.num shares with x.den only
+    g = gcd(k, content(x.den)), and dividing g out of k and x.den keeps
+    the denominator's leading coefficient positive."""
+    if k == 1:
+        return x
+    if k == -1:
+        return -x
+    den = x.den
+    g = _int_gcd(k, *den.values())
+    if g > 1:
+        k //= g
+        den = {mono: c // g for mono, c in den.items()}
+    return _make({mono: c * k for mono, c in x.num.items()}, den)
+
+
 def _canonical(num: Poly, den: Poly, g: Poly) -> "Coeff":
     """num/den in canonical form, where g is gcd(num, den): divide g out
     and move the sign so that the denominator's leading coefficient is
     positive.  The one canonicalisation step; only results canonical by
-    construction (constants, negations, products of polynomials) skip it."""
+    construction (constants, negations, integer multiples, products of
+    polynomials) skip it."""
     if not num:
         return ZERO
     if not _poly_is_one(g):
@@ -657,6 +684,10 @@ class Coeff:
         if not self.num or not other.num:
             return ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if _poly_is_one(d2) and _poly_is_const(n2):
+            return _scaled(self, n2[(0, 0)])
+        if _poly_is_one(d1) and _poly_is_const(n1):
+            return _scaled(other, n1[(0, 0)])
         if _poly_is_one(d1) and _poly_is_one(d2):
             return _make(_poly_mul(n1, n2), _ONE_POLY)
         # cross-reduce before multiplying to keep intermediates small

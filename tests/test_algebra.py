@@ -399,6 +399,69 @@ def test_operator_images_in_several_bases():
     assert zero.is_zero() and zero.basis == "p"
 
 
+def test_operator_images_are_cached_per_registry():
+    calls = []
+
+    def counting(S):
+        def action(lam):
+            calls.append(lam)
+            return S.element("p", lam).scaled(Q)
+
+        return action
+
+    S1, S2 = SymmetricFunctions(), SymmetricFunctions()
+    S1.declare_operator("qtimes", "p", counting(S1))
+    S2.declare_operator("qtimes", "p", counting(S2))
+    f = S1["p"]([2, 1]) + S1["p"]([3]).scaled(T) + S1["p"]([1])
+    want = f.scaled(Q)
+    for _ in range(3):
+        assert S1.apply_operator("qtimes", f) == want
+    assert sorted(calls) == sorted(f.terms)
+    # the second registry keeps its own images: its action runs again
+    g = S2["p"]([2, 1]) + S2["p"]([3]).scaled(T) + S2["p"]([1])
+    assert S2.apply_operator("qtimes", g) == g.scaled(Q)
+    assert len(calls) == 2 * len(f.terms)
+    # s[2] is (p[2] + p[1,1])/2, two partitions new to S1
+    assert S1.apply_operator("qtimes", S1["s"]([2])) == S1["s"]([2]).scaled(Q)
+    assert len(calls) == 2 * len(f.terms) + 2
+
+
+def test_operator_non_element_image_raises_every_call():
+    S2 = SymmetricFunctions()
+    calls = []
+
+    def broken(lam):
+        calls.append(lam)
+        return ONE
+
+    S2.declare_operator("broken", "p", broken)
+    for attempt in (1, 2, 3):
+        with pytest.raises(BasisError):
+            S2.apply_operator("broken", S2["p"]([2]))
+        assert len(calls) == attempt
+
+
+def test_convert_splits_by_degree(S):
+    pieces = [
+        S["s"]([2, 1]).scaled(T),
+        S["s"]([3]).scaled(ONE / (1 - Q)),
+        S["s"]([1]).scaled(Q),
+        S["s"]([2, 2]) - S["s"]([3, 1]),
+        S["s"]().scaled(Coeff.from_value(Fraction(1, 2))),
+    ]
+    mixed = S.zero("s")
+    for piece in pieces:
+        mixed = mixed + piece
+    for target in ("m", "p", "QP", "McdP"):
+        got = S.convert(mixed, target)
+        want = S.zero(target)
+        for piece in pieces:
+            want = S.add(want, S.convert(piece, target))
+        assert got.basis == target and got.terms == want.terms
+    zero = S.convert(S.zero("s"), "McdP")
+    assert zero.is_zero() and zero.basis == "McdP"
+
+
 def test_scaling_and_power(S):
     el = S["p"]([1])
     assert el / 2 == el.scaled(Coeff.from_value(Fraction(1, 2)))

@@ -232,6 +232,24 @@ def test_cli_eval_var_names_bad_value(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "names, reason",
+    [
+        ("1,2", "not an identifier"),
+        ("x+y,z", "not an identifier"),
+        ("s,t", "basis name"),
+        ("q,McdP", "basis name"),
+        ("a,a", "must differ"),
+    ],
+)
+def test_cli_eval_var_names_rejects_non_names(capsys, names, reason):
+    # printed as is, such names would make output that reads as another
+    # expression: 1*s[1], x+y*s[1], s*s[1]
+    code, out, err = run_cli(capsys, "eval", "q*s[1]", "--var-names", names)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and reason in err
+
+
 def test_cli_eval_user_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "s[1,2]")
     assert code == 1

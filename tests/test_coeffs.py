@@ -612,3 +612,45 @@ def test_dot_is_the_running_sum(pairs, cancel):
     got = dot(pairs)
     assert got.num == want.num and got.den == want.den
     _assert_canonical(got)
+
+
+# -- short paths: an integer factor is scaled in without a polynomial gcd,
+# and a gcd against 1 is 1 at once; both must give the canonical form that
+# the constructor's full reduction gives
+
+
+@pytest.fixture(scope="module")
+def built_entries():
+    S = SymmetricFunctions()
+    entries = []
+    for frm, to in (("McdP", "m"), ("P", "m"), ("m", "QP")):
+        for n in range(1, 5):
+            for row in S.conversion_matrix(frm, to, n).rows:
+                entries.extend(row)
+    return entries
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, -6, 12])
+def test_integer_factor_short_path_is_canonical(built_entries, k):
+    assert any(len(e.den) > 1 for e in built_entries)
+    for e in built_entries:
+        want = Coeff({mono: k * c for mono, c in e.num.items()}, e.den)
+        for got in (e * k, k * e, e * Coeff.from_value(k), Coeff.from_value(k) * e):
+            assert got.num == want.num and got.den == want.den
+            assert hash(got) == hash(want)
+            _assert_canonical(got)
+
+
+def test_integer_factor_sharing_content_with_the_denominator():
+    got = 2 * (ONE / (2 + 2 * Q))
+    assert got.num == {(0, 0): 1} and got.den == {(0, 0): 1, (1, 0): 1}
+    got = 4 * (Q / 6)
+    assert got.num == {(1, 0): 2} and got.den == {(0, 0): 3}
+    assert got == Q * Fraction(2, 3)
+    assert ONE * (Q / 6) == Q / 6 and (-1) * (Q / 6) == -Q / 6
+
+
+def test_poly_gcd_with_a_unit_argument():
+    for other in ({(0, 0): 1}, {(2, 1): 6}, {(0, 0): 4, (1, 3): -2}):
+        assert _poly_gcd({(0, 0): 1}, other) == {(0, 0): 1}
+        assert _poly_gcd(other, {(0, 0): 1}) == {(0, 0): 1}
