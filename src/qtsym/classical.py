@@ -5,7 +5,9 @@ derives everything else by inverting and composing those edges.
 
 * p_lam expands through products of p_r = m_(r).
 * h_lam counts nonnegative integer matrices with given row and column
-  sums; e_lam counts the zero-one ones.
+  sums; e_lam counts the zero-one ones.  Permuting the columns or
+  dropping zero columns leaves the count unchanged, so it is memoized on
+  the remaining column sums sorted with zeros dropped.
 * s_lam collects Kostka numbers.
 * Products: e, h, p concatenate indices; m multiplies by merging exponent
   vectors; s multiplies by the Littlewood-Richardson rule.
@@ -15,6 +17,7 @@ derives everything else by inverting and composing those edges.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import sub
 
 from .coeffs import ONE, Coeff
 from .partitions import Partition, distinct_permutations, partitions_of
@@ -61,7 +64,11 @@ def powersum_to_monomial(lam: Partition) -> dict[Partition, int]:
 
 @lru_cache(maxsize=None)
 def _margin_matrix_count(rows: tuple[int, ...], cols: tuple[int, ...], zero_one: bool) -> int:
-    """Matrices of nonnegative integers (or zero-one) with given margins."""
+    """Matrices of nonnegative integers (or zero-one) with given margins.
+
+    Recursive calls pass the remaining column sums sorted with zeros
+    dropped, so that column orders with the same count share a memo entry.
+    """
     if not rows:
         return 1 if all(c == 0 for c in cols) else 0
     first, rest = rows[0], rows[1:]
@@ -71,8 +78,8 @@ def _margin_matrix_count(rows: tuple[int, ...], cols: tuple[int, ...], zero_one:
         nonlocal total
         if idx == len(cols):
             if remaining == 0:
-                reduced = tuple(c - x for c, x in zip(cols, current))
-                total += _margin_matrix_count(rest, reduced, zero_one)
+                reduced = sorted(filter(None, map(sub, cols, current)), reverse=True)
+                total += _margin_matrix_count(rest, tuple(reduced), zero_one)
             return
         top = min(remaining, cols[idx])
         if zero_one:

@@ -23,19 +23,23 @@ memory they hold stays bounded however many shapes are asked for.
 
 Listing follows a strip only when its end state can still be completed
 by the remaining letters, which a liveness memo per call decides; a
-partial tableau that cannot be finished is never built.
+partial tableau that cannot be finished is never built.  A listed
+tableau keeps its start beads, the moves of each letter's strip as the
+table holds them, and its spin summed from the strips' totals; its
+cells and chain of partitions are built on first access.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from operator import le
+from operator import index, le
 from typing import Sequence
 
 from .errors import PartitionError, TableauError
 from .partitions import Partition
 from .render import boxed_rows
+from .tableaux import _letter_counts
 
 
 def _beads(p: Partition, length: int) -> tuple[int, ...]:
@@ -113,17 +117,57 @@ def ribbon_cells(before: Partition, after: Partition) -> tuple[tuple[int, int], 
 
 class RibbonTableau:
     """A tiling of a partition by labelled k-ribbons, one horizontal strip
-    of ribbons per letter."""
+    of ribbons per letter.
 
-    __slots__ = ("k", "shape", "weight", "chain", "ribbons", "spin")
+    `chain` lists the partitions after each letter, from the empty one;
+    `ribbons` the (label, cells, spin) triples in the order they were laid.
+    A tableau listed by ribbon_tableaux keeps only its start beads and
+    strip moves, and builds both on first access.
+    """
+
+    __slots__ = ("k", "shape", "weight", "spin", "_chain", "_ribbons", "_start", "_strips")
 
     def __init__(self, k, shape, weight, chain, ribbons):
         self.k = k
         self.shape = shape
         self.weight = tuple(weight)
-        self.chain = tuple(chain)
-        self.ribbons = tuple(ribbons)  # (label, cells, spin) triples
-        self.spin = sum(r[2] for r in ribbons)
+        self._chain = tuple(chain)
+        self._ribbons = tuple(ribbons)
+        self.spin = sum(r[2] for r in self._ribbons)
+
+    @classmethod
+    def _listed(cls, k, shape, weight, start, strips, spin) -> RibbonTableau:
+        """A tableau given by its start beads and, per letter, the moves of
+        its strip as kept in the strip table."""
+        tab = cls.__new__(cls)
+        tab.k, tab.shape, tab.weight, tab.spin = k, shape, weight, spin
+        tab._chain = tab._ribbons = None
+        tab._start, tab._strips = start, strips
+        return tab
+
+    @property
+    def chain(self) -> tuple[Partition, ...]:
+        if self._chain is None:
+            self._unfold()
+        return self._chain
+
+    @property
+    def ribbons(self) -> tuple:
+        if self._ribbons is None:
+            self._unfold()
+        return self._ribbons
+
+    def _unfold(self) -> None:
+        rows = _rows(self._start)
+        chain = [Partition()]
+        ribbons = []
+        for letter, moves in enumerate(self._strips, 1):
+            for stepped, spin in moves:
+                stepped_rows = _rows(stepped)
+                ribbons.append((letter, _cells(rows, stepped_rows), spin))
+                rows = stepped_rows
+            chain.append(Partition(r for r in rows if r))
+        self._chain, self._ribbons = tuple(chain), tuple(ribbons)
 
     def cell_labels(self) -> dict[tuple[int, int], int]:
         return {cell: label for label, cells, _ in self.ribbons for cell in cells}
@@ -188,20 +232,25 @@ def _strip_moves(
     return out
 
 
-def _tableau_ends(shape: Partition, weight: Sequence[int], k: int):
-    """The checked weight and the start and end bead tuples of a tableau."""
-    if k < 1:
+def _ribbon_size(k) -> int:
+    """k as an int; TableauError unless it is an integer of at least 1."""
+    if not hasattr(k, "__index__") or index(k) < 1:
         raise TableauError("ribbon size must be a positive integer")
-    weight = tuple(int(w) for w in weight)
-    if any(w < 0 for w in weight):
-        raise TableauError("ribbon weights must be nonnegative")
+    return index(k)
+
+
+def _tableau_ends(shape: Partition, weight: Sequence[int], k: int):
+    """The checked weight and ribbon size and the start and end bead
+    tuples of a tableau."""
+    k = _ribbon_size(k)
+    weight = _letter_counts(weight, "ribbon weight")
     if shape.size != k * sum(weight):
         raise TableauError(
             f"shape {shape} has {shape.size} cells but the weight needs "
             f"{k * sum(weight)}"
         )
     length = max(k, len(shape) + k)
-    return weight, _beads(Partition(), length), _beads(shape, length)
+    return weight, k, _beads(Partition(), length), _beads(shape, length)
 
 
 @lru_cache(maxsize=4)
@@ -235,7 +284,7 @@ def ribbon_tableaux(
     can still be completed to the whole shape by the remaining letters,
     so no partial tableau is built in vain.
     """
-    weight, start, cap = _tableau_ends(shape, weight, k)
+    weight, k, start, cap = _tableau_ends(shape, weight, k)
     strips = _strip_table(k, cap)
     live: dict[tuple[tuple[int, ...], int], bool] = {}
     out: list[RibbonTableau] = []
@@ -253,25 +302,19 @@ def ribbon_tableaux(
             )
         return found
 
-    def rec(beads, letter, chain, ribbons, start_rows):
-        # start_rows are the row lengths of beads
+    def rec(beads, letter, spin):
         if letter == len(weight):  # every cell of the shape is covered
-            out.append(RibbonTableau(k, shape, weight, chain, ribbons))
+            out.append(RibbonTableau._listed(k, shape, weight, start, tuple(path), spin))
             return
-        for end, _, moves in strips(beads, weight[letter]):
-            if not alive(end, letter + 1):
-                continue
-            rows = start_rows
-            new_ribbons = list(ribbons)
-            for stepped, spin in moves:
-                stepped_rows = _rows(stepped)
-                new_ribbons.append((letter + 1, _cells(rows, stepped_rows), spin))
-                rows = stepped_rows
-            strip_end = Partition(r for r in rows if r)
-            rec(end, letter + 1, chain + [strip_end], new_ribbons, rows)
+        for end, shift, moves in strips(beads, weight[letter]):
+            if alive(end, letter + 1):
+                path.append(moves)
+                rec(end, letter + 1, spin + shift)
+                path.pop()
 
+    path: list[tuple] = []  # the moves of each letter's strip so far
     if alive(start, 0):
-        rec(start, 0, [Partition()], [], _rows(start))
+        rec(start, 0, 0)
     return out
 
 
@@ -285,7 +328,7 @@ def ribbon_spin_histogram(
     The strips come from the shape's strip table, shared with every other
     weight of the shape.
     """
-    weight, start, cap = _tableau_ends(shape, weight, k)
+    weight, k, start, cap = _tableau_ends(shape, weight, k)
     strips = _strip_table(k, cap)
     memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
 
@@ -308,8 +351,7 @@ def ribbon_strip_spins(
     base: Partition, cells: int, k: int, within: Partition
 ) -> list[tuple[Partition, int]]:
     """Horizontal strip extensions by `cells` ribbons with their spins."""
-    if k < 1:
-        raise TableauError("ribbon size must be a positive integer")
+    k = _ribbon_size(k)
     length = max(k, len(within) + k)
     strips = _strip_moves(_beads(base, length), k, cells, _beads(within, length))
     return [

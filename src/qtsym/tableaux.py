@@ -6,11 +6,17 @@ from the bottom row.  Charge follows the cyclic subword extraction rule:
 repeatedly extract a standard subword (scan for the rightmost 1, then for
 each next letter scan leftward, wrapping around), score each extracted
 word, and sum the scores.
+
+One filler lists semistandard tableaux for both ssyt and kostka_poly:
+it writes the letters into the rows in place, one horizontal strip per
+letter, and hands out the finished rows.  ssyt wraps them in Tableaux
+without checking them again; kostka_poly charges their reading words.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Sequence
 
 from .coeffs import Coeff
@@ -82,51 +88,84 @@ class Tableau:
         }
 
 
+def _letter_counts(values: Sequence[int], what: str) -> tuple[int, ...]:
+    """The entries as ints; TableauError unless each is a nonnegative
+    integer (a float such as 1.5 is refused, not truncated)."""
+    try:
+        counts = tuple(map(index, values))
+    except TypeError:
+        raise TableauError(f"{what} entries must be integers") from None
+    if min(counts, default=0) < 0:
+        raise TableauError(f"{what} entries must be nonnegative")
+    return counts
+
+
+def _fillings(shape: Partition, content: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every semistandard filling of shape with content.
+
+    Each letter is a horizontal strip written into the rows in place: row
+    i grows up to its part of the shape and to row i-1's length before
+    this letter.  Lengths are tried in increasing order from the top row
+    down, the order of chains of horizontal_strip_extensions.
+    """
+    caps = shape.parts
+    height = len(caps)
+    rows: list[list[int]] = [[] for _ in range(height)]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def strip(letter: int, i: int, left: int, above: int):
+        # `left` cells of letter + 1 go into rows i, i+1, ...; `above` is
+        # row i-1's length before this letter
+        while not left:  # the letter is placed: start the next one here
+            letter += 1
+            if letter == len(content):
+                out.append(tuple(map(tuple, rows)))
+                return
+            i, left, above = 0, content[letter], top
+        # rows with no room take nothing
+        while i < height and len(rows[i]) == min(caps[i], above):
+            above = len(rows[i])
+            i += 1
+        if i == height:
+            return
+        row = rows[i]
+        old = len(row)
+        strip(letter, i + 1, left, old)
+        for added in range(1, min(caps[i], above, old + left) - old + 1):
+            row.append(letter + 1)
+            strip(letter, i + 1, left - added, old)
+        del row[old:]
+
+    top = caps[0] if caps else 0
+    strip(-1, 0, 0, top)
+    return out
+
+
 def ssyt(shape: Partition, content: Sequence[int]) -> list[Tableau]:
     """All semistandard tableaux of the given shape and content vector.
 
     The content may be any sequence of nonnegative integers whose sum is
     the size of the shape; entry i appears content[i-1] times.
     """
-    content = tuple(int(c) for c in content)
-    if any(c < 0 for c in content):
-        raise TableauError("content entries must be nonnegative")
+    content = _letter_counts(content, "content")
     if sum(content) != shape.size:
         raise TableauError(
             f"content {list(content)} does not fill shape {shape} "
             f"({sum(content)} cells vs {shape.size})"
         )
-    out: list[Tableau] = []
-
-    def rec(chain: list[Partition], letter: int):
-        if letter == len(content):
-            if chain[-1] == shape:
-                out.append(_tableau_from_chain(chain))
-            return
-        for nxt in horizontal_strip_extensions(chain[-1], content[letter], within=shape):
-            chain.append(nxt)
-            rec(chain, letter + 1)
-            chain.pop()
-
-    rec([Partition()], 0)
-    return out
-
-
-def _tableau_from_chain(chain: list[Partition]) -> Tableau:
-    rows: list[list[int]] = []
-    for letter in range(1, len(chain)):
-        prev, cur = chain[letter - 1], chain[letter]
-        for i, length in enumerate(cur.parts):
-            while len(rows) <= i:
-                rows.append([])
-            old = prev.parts[i] if i < len(prev) else 0
-            rows[i].extend([letter] * (length - old))
-    return Tableau(rows)
+    tabs = []
+    for rows in _fillings(shape, content):
+        # the filler only writes semistandard rows, so skip the checks
+        tab = Tableau.__new__(Tableau)
+        tab.rows = rows
+        tabs.append(tab)
+    return tabs
 
 
 @lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
     """Count of semistandard tableaux, computed by a chain recursion."""
+    content = _letter_counts(content, "content")
     if sum(content) != shape.size:
         return 0
 
@@ -267,15 +306,14 @@ def kostka_poly(shape: Partition, weight: Sequence[int]) -> Coeff:
     The weight may be given as any rearrangement; it is sorted into a
     partition first, which leaves the polynomial unchanged.
     """
-    weight = tuple(sorted((int(w) for w in weight), reverse=True))
-    if any(w < 0 for w in weight):
-        raise TableauError("weights must be nonnegative")
+    weight = tuple(sorted(_letter_counts(weight, "weight"), reverse=True))
     if sum(weight) != shape.size:
         raise TableauError(
             f"weight of size {sum(weight)} cannot fill shape {shape} of size {shape.size}"
         )
     counts: dict[int, int] = {}
-    for tab in ssyt(shape, weight):
-        c = charge(tab)
+    for rows in _fillings(shape, weight):
+        # the sorted weight is partition content, so charge applies as is
+        c = _partition_word_charge(tuple(x for row in reversed(rows) for x in row))
         counts[c] = counts.get(c, 0) + 1
     return Coeff.from_t_poly(counts)

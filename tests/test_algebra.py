@@ -1,6 +1,7 @@
 """The conversion engine: graph routing, arithmetic, scalar products,
 orthogonalization, operators, on-the-fly bases."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtsym import SymmetricFunctions
+from qtsym.classical import (
+    _margin_matrix_count,
+    complete_to_monomial,
+    elementary_to_monomial,
+)
 from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
 from qtsym.errors import BasisError, PartitionError
 from qtsym.linalg import CoeffMatrix
-from qtsym.partitions import Partition, dominance_leq, partitions_of
+from qtsym.partitions import Partition, distinct_permutations, dominance_leq, partitions_of
 
 CLASSICAL = ("m", "e", "h", "p", "s")
 
@@ -66,6 +72,43 @@ def test_roundtrips_classical(S):
                     el = S.element(frm, lam)
                     back = S.convert(S.convert(el, to), frm)
                     assert back == el, (frm, to, lam)
+
+
+def _brute_margin_count(rows, cols, zero_one: bool) -> int:
+    """Matrices with the given row and column sums, found by trying every
+    row vector of each row sum."""
+    top = 1 if zero_one else max(rows, default=0)
+    choices = [
+        [v for v in itertools.product(range(top + 1), repeat=len(cols)) if sum(v) == r]
+        for r in rows
+    ]
+    return sum(
+        1
+        for matrix in itertools.product(*choices)
+        if all(sum(col) == c for col, c in zip(zip(*matrix), cols))
+    )
+
+
+def test_h_and_e_to_m_match_brute_force():
+    for n in range(6):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for zero_one, table in (
+                    (False, complete_to_monomial),
+                    (True, elementary_to_monomial),
+                ):
+                    expected = _brute_margin_count(lam.parts, mu.parts, zero_one)
+                    assert table(lam).get(mu, 0) == expected, (lam, mu, zero_one)
+
+
+def test_margin_count_ignores_column_order_and_zero_columns():
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for zero_one in (False, True):
+                    count = _margin_matrix_count(lam.parts, mu.parts, zero_one)
+                    for cols in distinct_permutations(mu.parts + (0, 0)):
+                        assert _margin_matrix_count(lam.parts, cols, zero_one) == count
 
 
 def test_inverse_kostka_degree_3(S):

@@ -354,6 +354,26 @@ def test_cli_tableaux(capsys):
     assert code == 0 and out.count("charge:") == 2
 
 
+# (rows, charge) of each tableau, in the order the command prints them
+GOLDEN_TABLEAUX_321_2211 = [
+    ([[1, 1, 4], [2, 2], [3]], 1),
+    ([[1, 1, 3], [2, 2], [4]], 2),
+    ([[1, 1, 2], [2, 4], [3]], 2),
+    ([[1, 1, 2], [2, 3], [4]], 3),
+]
+
+
+def test_cli_tableaux_json_in_enumeration_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "tableaux", "3,2,1", "2,2,1,1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == [
+        {"shape": [3, 2, 1], "rows": rows, "charge": c}
+        for rows, c in GOLDEN_TABLEAUX_321_2211
+    ]
+
+
 def test_cli_ribbons(capsys):
     code, out, _ = run_cli(capsys, "ribbons", "4,3,2", "1,1,1", "3")
     assert code == 0 and out.count("spin:") == 3

@@ -104,9 +104,22 @@ def test_weight_size_mismatch():
 
 
 def test_strip_spins_reject_nonpositive_ribbon_size():
-    for k in (0, -1):
+    for k in (0, -1, 2.0):
         with pytest.raises(TableauError):
             ribbon_strip_spins(Partition([1]), 1, k, within=Partition([3, 2]))
+
+
+def test_non_integral_weights_and_sizes_are_rejected():
+    # a float weight used to be truncated, listing the tableaux of (1, 1)
+    with pytest.raises(TableauError):
+        ribbon_tableaux(Partition([2, 2]), (1.7, 1.2), 2)
+    with pytest.raises(TableauError):
+        ribbon_spin_histogram(Partition([2, 2]), (1.7, 1.2), 2)
+    # a float ribbon size used to raise a bare TypeError
+    with pytest.raises(TableauError):
+        ribbon_tableaux(Partition([2, 2]), (1, 1), 2.0)
+    with pytest.raises(TableauError):
+        ribbon_tableaux(Partition([2, 2]), (3, -1), 2)
 
 
 def test_k1_degenerates_to_ssyt():
@@ -507,6 +520,19 @@ def test_pruned_listing_matches_unpruned_search():
         assert got == _unpruned_tableaux_json(shape, weight, k), (shape, weight, k)
         cases += 1
     assert cases > 200
+
+
+def test_listed_tableaux_unfold_like_constructed_ones():
+    listed = ribbon_tableaux(Partition([4, 3, 2]), (1, 1, 1), 3)
+    assert all(tab._chain is None and tab._ribbons is None for tab in listed)
+    cases = 0
+    for shape, weight, k in _empty_core_cases():
+        for tab in ribbon_tableaux(shape, weight, k):
+            assert tab.spin == sum(r[2] for r in tab.ribbons)
+            again = RibbonTableau(k, shape, weight, tab.chain, tab.ribbons)
+            assert again.to_json() == tab.to_json(), (shape, weight, k)
+        cases += 1
+    assert cases == 554
 
 
 def test_shared_strip_table_gives_the_same_histograms():

@@ -6,7 +6,13 @@ import pytest
 
 from qtsym.coeffs import ONE, T, ZERO
 from qtsym.errors import TableauError
-from qtsym.partitions import Partition, distinct_permutations, dominance_leq, partitions_of
+from qtsym.partitions import (
+    Partition,
+    distinct_permutations,
+    dominance_leq,
+    horizontal_strip_extensions,
+    partitions_of,
+)
 from qtsym.tableaux import (
     Tableau,
     charge,
@@ -72,14 +78,78 @@ def test_ssyt_small_cases():
         ssyt(Partition([2]), (1,))
 
 
+def _with_zero_letters(content: tuple[int, ...]):
+    """The content itself, then with a zero letter in front, in the
+    middle (when there is one) and at the end."""
+    yield content
+    yield (0,) + content
+    if len(content) > 1:
+        middle = len(content) // 2
+        yield content[:middle] + (0,) + content[middle:]
+    yield content + (0,)
+
+
+def _chain_order_rows(shape: Partition, content: tuple[int, ...]) -> list:
+    """Rows of the tableaux reached by chains of horizontal strips, each
+    letter's strips taken in horizontal_strip_extensions order."""
+    out = []
+
+    def rec(cur: Partition, letter: int, rows: tuple):
+        if letter == len(content):
+            if cur == shape:
+                out.append(rows)
+            return
+        for nxt in horizontal_strip_extensions(cur, content[letter], within=shape):
+            old = cur.padded(len(nxt))
+            grown = tuple(
+                (rows[i] if i < len(rows) else ()) + (letter + 1,) * (nxt.parts[i] - old[i])
+                for i in range(len(nxt))
+            )
+            rec(nxt, letter + 1, grown)
+
+    rec(Partition(), 0, ())
+    return out
+
+
 def test_ssyt_matches_brute_force():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for shape in partitions_of(n):
             for mu in partitions_of(n):
                 for content in distinct_permutations(mu.parts):
-                    got = ssyt(shape, content)
-                    assert len(set(got)) == len(got)
-                    assert set(got) == brute_ssyt(shape, content)
+                    for padded in _with_zero_letters(tuple(content)):
+                        got = ssyt(shape, padded)
+                        assert len(set(got)) == len(got)
+                        assert set(got) == brute_ssyt(shape, padded), (shape, padded)
+                        # the order, too, is that of the strip chains
+                        assert [t.rows for t in got] == _chain_order_rows(shape, padded)
+
+
+def test_ssyt_fills_a_long_row_and_column():
+    # the filler takes one stack frame per letter here, so 600 letters
+    # stay inside the default recursion limit
+    for shape in ([600], [1] * 600):
+        assert len(ssyt(Partition(shape), (1,) * 600)) == 1
+
+
+def test_non_integral_counts_are_rejected():
+    # a float used to be truncated, so (1.5, 1.5) filled a row of 2
+    with pytest.raises(TableauError):
+        ssyt(Partition([2]), (1.5, 1.5))
+    with pytest.raises(TableauError):
+        kostka_poly(Partition([2]), (1.5, 1.5))
+    with pytest.raises(TableauError):
+        kostka_poly(Partition([2]), (2, -1, 1))
+    with pytest.raises(TableauError):
+        kostka_number(Partition([2]), (1.5, 1.5))
+
+
+def test_kostka_number_checks_content_like_ssyt():
+    with pytest.raises(TableauError):
+        ssyt(Partition([2, 1]), (4, -1))
+    with pytest.raises(TableauError):
+        kostka_number(Partition([2, 1]), (4, -1))
+    # a content of the wrong size is a count of zero, not an error
+    assert kostka_number(Partition([2, 1]), (2, 2)) == 0
 
 
 def test_kostka_number_agrees_with_enumeration():
