@@ -24,6 +24,13 @@ den coprime, k * num / den only needs g = gcd(k, content(den)) divided out
 of k and den, so it takes no polynomial gcd, no polynomial product and no
 `_canonical` (times 1 it is the other operand itself).  And `_poly_gcd`
 returns 1 at once when either argument is 1.
+
+`dot`, the sum of products behind every matrix product, adds each
+product into one running numerator in place (`_poly_addmul`) and drops
+the cancelled terms once at the end.  It recognises a unit denominator
+by identity with the shared `_ONE_POLY`, which `_make` stores for every
+unit denominator; a unit held as another dict only takes the general
+path, with the same result.
 """
 
 from __future__ import annotations
@@ -55,6 +62,16 @@ def _poly_add(a: Poly, b: Poly) -> Poly:
         else:
             out.pop(mono, None)
     return out
+
+
+def _poly_addmul(acc: Poly, a: Poly, b: Poly) -> None:
+    """acc += a * b in place.  Coefficients that cancel stay as zeros, for
+    the caller to drop once after the last product."""
+    get = acc.get
+    for (aq, at), ca in a.items():
+        for (bq, bt), cb in b.items():
+            mono = (aq + bq, at + bt)
+            acc[mono] = get(mono, 0) + ca * cb
 
 
 def _poly_neg(a: Poly) -> Poly:
@@ -244,7 +261,10 @@ def _uni_divexact(a: UniPoly, d: UniPoly) -> UniPoly:
 
 
 def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
-    """Heuristic GCD of primitive integer polynomials, or None."""
+    """Heuristic GCD of primitive integer polynomials, or None.
+
+    A candidate that lifts to a constant is primitive, so it is 1 and is
+    returned without trial division."""
     norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
     x = 2 * norm + 29
     for _ in range(6):
@@ -255,6 +275,8 @@ def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
                 e: d for e, d in enumerate(_balanced_digits(image, x)) if d
             }
             cand = _uni_primitive(cand)
+            if len(cand) == 1 and 0 in cand:
+                return cand  # a unit divides both, so needs no trial division
             if cand:
                 try:
                     _uni_divexact(f, cand)
@@ -380,7 +402,10 @@ def _biv_lift_t(image: UniPoly, x: int) -> Poly:
 
 
 def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
-    """Heuristic GCD of primitive integer bivariate polynomials, or None."""
+    """Heuristic GCD of primitive integer bivariate polynomials, or None.
+
+    A candidate that lifts to a constant is +1 or -1 once its content is
+    stripped, and is returned as it is, without trial division."""
     norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
     x = 2 * norm + 29
     for _ in range(6):
@@ -393,6 +418,8 @@ def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
             if cont > 1:
                 image = {e: c * cont for e, c in image.items()}
             cand = _int_strip_content(_biv_lift_t(image, x))
+            if len(cand) == 1 and (0, 0) in cand:
+                return cand  # a unit divides both, so needs no trial division
             if cand:
                 try:
                     _poly_divexact(f, cand)
@@ -861,14 +888,19 @@ def dot(pairs) -> Coeff:
     far past D, so the products are added one at a time as Coeff values.
     Two cases skip all of this: a single nonzero product is returned as
     a * b, and when every denominator is 1 the numerators are just added.
+    Over D or over 1, each product is added into one running numerator
+    in place, and cancelled terms are dropped once at the end.  A
+    denominator is taken as 1 by identity with the shared `_ONE_POLY`; an
+    equal dict that is another object goes the cofactor way, to the same
+    result.
     """
     terms = []
     for a, b in pairs:
         if not a.num or not b.num:
             continue
-        if _poly_is_one(a.den):
+        if a.den is _ONE_POLY:
             den = b.den
-        elif _poly_is_one(b.den):
+        elif b.den is _ONE_POLY:
             den = a.den
         else:
             den = _poly_mul(a.den, b.den)
@@ -878,7 +910,7 @@ def dot(pairs) -> Coeff:
     if len(terms) == 1:
         a, b, _ = terms[0]
         return a * b
-    if all(_poly_is_one(den) for _, _, den in terms):
+    if all(den is _ONE_POLY for _, _, den in terms):
         # None marks a cofactor of 1, which is never multiplied in
         top, cofactors = _ONE_POLY, [None] * len(terms)
     else:
@@ -896,8 +928,11 @@ def dot(pairs) -> Coeff:
             return sum((a * b for a, b, _ in terms), ZERO)
     num: Poly = {}
     for (a, b, _), cofactor in zip(terms, cofactors):
-        prod = _poly_mul(a.num, b.num)
-        num = _poly_add(num, prod if cofactor is None else _poly_mul(prod, cofactor))
+        if cofactor is None:
+            _poly_addmul(num, a.num, b.num)
+        else:
+            _poly_addmul(num, _poly_mul(a.num, b.num), cofactor)
+    num = {mono: c for mono, c in num.items() if c}
     g = _ONE_POLY if _poly_is_one(top) else _poly_gcd(num, top)
     return _canonical(num, top, g)
 

@@ -10,8 +10,10 @@ Composition and matrix-vector products divide once per entry:
 highest degree (scaled by any integer the others need), adds the
 numerators in Z[q,t] and takes one gcd.  Only an entry with a denominator
 that does not divide that one falls back to adding the products one at a
-time.  Applying the matrix to a vector with one nonzero entry sums
-nothing: it scales that column.
+time.  Composition hands `dot` only the pairs of nonzero entries: each
+right-hand column's nonzero entries are listed once, and each row keeps
+those whose left entry is nonzero too.  Applying the matrix to a vector
+with one nonzero entry sums nothing: it scales that column.
 """
 
 from __future__ import annotations
@@ -80,16 +82,24 @@ class CoeffMatrix:
         )
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
-        """Composition.  Each entry is one `dot` over the nonzero middle
-        index: divided once when its denominators nest, else added one
-        product at a time."""
+        """Composition.  Each entry is one `dot` over the middle indices
+        where both factors are nonzero, in increasing order: divided once
+        when its denominators nest, else added one product at a time.
+        Each right-hand column's nonzero entries are listed once, and an
+        entry with no such index is zero without a call."""
         if self.col_keys != other.row_keys:
             raise ValueError("matrix composition with mismatched keys")
-        cols = [[row[j] for row in other.rows] for j in range(len(other.col_keys))]
+        cols = [
+            [(k, row[j]) for k, row in enumerate(other.rows) if row[j].num]
+            for j in range(len(other.col_keys))
+        ]
         rows = []
         for left in self.rows:
-            mid = [k for k, c in enumerate(left) if not c.is_zero()]
-            rows.append([dot([(left[k], col[k]) for k in mid]) for col in cols])
+            out = []
+            for col in cols:
+                pairs = [(left[k], c) for k, c in col if left[k].num]
+                out.append(dot(pairs) if pairs else ZERO)
+            rows.append(out)
         return CoeffMatrix(self.row_keys, other.col_keys, rows)
 
     def transpose(self) -> "CoeffMatrix":

@@ -4,13 +4,14 @@ H_lam^(k) is graded by cospin: the coefficient of m_mu is the sum of
 t^cospin over k-ribbon tableaux of shape lam and weight mu, read off the
 spin histogram that ribbons.ribbon_spin_histogram sums over intermediate
 shapes without listing the tableaux.  The histograms of all the weights
-of one shape are taken one after the other, so they share that shape's
-strip table (ribbons._strip_table): each horizontal strip inside lam is
-enumerated once, whatever the weight.  Cospin is maxspin - spin, with
-maxspin taken over all tableaux of the shape regardless of weight, so
-relative powers between different weights stay meaningful.  The result
-is symmetric in the sense that the coefficient polynomial only depends on
-the sorted weight.
+of one shape share that shape's strip table (ribbons._strip_table), which
+ribbons.ribbon_tableaux fills as well and which is kept for every shape:
+each horizontal strip inside lam is enumerated once, whatever the weight,
+and not again if the tableaux of lam were listed before.  Cospin is
+maxspin - spin, with maxspin taken over all tableaux of the shape
+regardless of weight, so relative powers between different weights stay
+meaningful.  The result is symmetric in the sense that the coefficient
+polynomial only depends on the sorted weight.
 
 Generalized Kostka polynomials are the Schur coefficients of H.
 """

@@ -16,10 +16,12 @@ over the bead tuples reached after each letter, without listing them.
 The strips inside one shape do not depend on the weight, so they are
 kept in a strip table per (k, shape beads): a memo from (beads, number
 of ribbons) to the strips' end beads, total spin and moves.  Listing
-tableaux and summing histograms read the same table, and consecutive
-calls for one shape (spin_distributions runs every weight in turn)
-share it.  Only the tables of the last four shapes are kept, so the
-memory they hold stays bounded however many shapes are asked for.
+tableaux and summing histograms read the same table, and every shape's
+table is kept, so each strip is enumerated once however the calls for
+its shape are spread: listing all tableaux of a shape and then its LLT
+polynomial finds no strip twice.  The memory stays bounded by a total
+number of entries over all tables (_STRIP_TABLE_LIMIT), past which all
+of them are dropped.
 
 Listing follows a strip only when its end state can still be completed
 by the remaining letters, which a liveness memo per call decides; a
@@ -32,7 +34,6 @@ cells and chain of partitions are built on first access.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from operator import index, le
 from typing import Sequence
 
@@ -253,12 +254,27 @@ def _tableau_ends(shape: Partition, weight: Sequence[int], k: int):
     return weight, k, _beads(Partition(), length), _beads(shape, length)
 
 
-@lru_cache(maxsize=4)
+# (k, shape beads) -> that shape's memo {(beads, count): strips}.  When a
+# new table is made while the tables hold more than _STRIP_TABLE_LIMIT
+# entries in total, all of them are dropped.  An entry takes about 0.6 kB
+# (its key and its strips' bead tuples), so the limit is about 3 MB, plus
+# the table being filled.  One pass over the 87 shapes of k = 3 at size 12
+# and k = 2 at size 10 (the Hall-Littlewood benchmark's) holds 1,741.
+_STRIP_TABLES: dict[tuple[int, tuple[int, ...]], dict] = {}
+_STRIP_TABLE_LIMIT = 5000
+
+
 def _strip_table(k: int, cap: tuple[int, ...]):
     """The strip table of one shape: a memoized `strips(beads, count)`
     giving ((end beads, spin, moves), ...) in `_strip_moves` order, spin
-    being the strip's total.  Kept for the last four shapes only."""
-    memo: dict[tuple[tuple[int, ...], int], tuple] = {}
+    being the strip's total.  Every shape's table is kept, up to
+    _STRIP_TABLE_LIMIT entries over all of them, so listing tableaux and
+    summing histograms of one shape enumerate each strip once."""
+    memo = _STRIP_TABLES.get((k, cap))
+    if memo is None:
+        if sum(map(len, _STRIP_TABLES.values())) > _STRIP_TABLE_LIMIT:
+            _STRIP_TABLES.clear()
+        memo = _STRIP_TABLES[(k, cap)] = {}
 
     def strips(beads: tuple[int, ...], count: int) -> tuple:
         key = (beads, count)

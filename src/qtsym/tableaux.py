@@ -31,7 +31,10 @@ class Tableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise TableauError("entries must be positive integers") from None
         lengths = [len(r) for r in rows]
         if any(x <= 0 for row in rows for x in row):
             raise TableauError("entries must be positive integers")
@@ -213,7 +216,10 @@ def word_charge(word: Sequence[int]) -> int:
     Non-partition content is first sorted with content exchanges, which
     do not change the charge, then the cyclic extraction rule applies.
     """
-    word = tuple(int(x) for x in word)
+    try:
+        word = tuple(map(index, word))
+    except TypeError:
+        raise TableauError("words must use positive letters") from None
     if any(x <= 0 for x in word):
         raise TableauError("words must use positive letters")
     if not word:

@@ -1,6 +1,8 @@
 """Exact Q(q,t) arithmetic: canonical form, gcd reduction, substitution."""
 
+import copy
 import operator
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -654,3 +656,149 @@ def test_poly_gcd_with_a_unit_argument():
     for other in ({(0, 0): 1}, {(2, 1): 6}, {(0, 0): 4, (1, 3): -2}):
         assert _poly_gcd({(0, 0): 1}, other) == {(0, 0): 1}
         assert _poly_gcd(other, {(0, 0): 1}) == {(0, 0): 1}
+
+
+# -- dot adds in place: every path equals the running Coeff sum, in num,
+# den and hash
+
+
+def _random_coeff(rng, dens):
+    num = ZERO
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        num = num + c * Q ** rng.randint(0, 2) * T ** rng.randint(0, 2)
+    return num / rng.choice(dens)
+
+
+_DOT_PATHS = {
+    # every denominator 1
+    "unit": [ONE],
+    # nested denominators, integers among them: cofactors of (1-q)^2 * 6
+    "cofactor": [ONE, ONE * 2, ONE * 3, 1 - Q, (1 - Q) ** 2],
+    # 1-q and 1-t do not nest: the running-sum fallback
+    "fallback": [1 - Q, 1 - T],
+}
+
+
+def _counted_addmul(monkeypatch):
+    calls = []
+    kernel = coeffs._poly_addmul
+
+    def counted(acc, a, b):
+        calls.append(1)
+        kernel(acc, a, b)
+
+    monkeypatch.setattr(coeffs, "_poly_addmul", counted)
+    return calls
+
+
+def _assert_dot_is_running_sum(pairs):
+    want = ZERO
+    for a, b in pairs:
+        want = want + a * b
+    got = dot(pairs)
+    assert got.num == want.num and got.den == want.den
+    assert hash(got) == hash(want)
+    _assert_canonical(got)
+    return got
+
+
+@pytest.mark.parametrize("path", sorted(_DOT_PATHS))
+@pytest.mark.parametrize("cancel", [False, True])
+def test_dot_paths_equal_the_running_sum(monkeypatch, path, cancel):
+    rng = random.Random(f"{path}-{cancel}")
+    calls = _counted_addmul(monkeypatch)
+    dens = _DOT_PATHS[path]
+    for _ in range(40):
+        pairs = [
+            (_random_coeff(rng, dens), _random_coeff(rng, dens))
+            for _ in range(rng.randint(2, 5))
+        ]
+        if path == "fallback":
+            # (1-q)^2 and (1-t)^2 divide no common denominator of degree 2
+            pairs += [(ONE / (1 - Q), ONE / (1 - Q)), (ONE / (1 - T), ONE / (1 - T))]
+        if cancel:
+            pairs += [(-a, b) for a, b in pairs]
+        got = _assert_dot_is_running_sum(pairs)
+        if cancel:
+            assert got is ZERO
+    # the fallback adds Coeff values; the other paths add in place
+    assert (len(calls) == 0) == (path == "fallback")
+
+
+def test_dot_with_a_unit_denominator_that_is_not_the_shared_one():
+    a = copy.deepcopy(1 + Q)
+    b = copy.deepcopy(3 * T)
+    assert a.den == {(0, 0): 1} and a.den is not coeffs._ONE_POLY
+    assert b.den == {(0, 0): 1} and b.den is not coeffs._ONE_POLY
+    # all units, one shared unit among copies, and copies beside real
+    # denominators
+    _assert_dot_is_running_sum([(a, b), (b, a), (Q, T)])
+    _assert_dot_is_running_sum([(a, ONE), (ONE, b)])
+    _assert_dot_is_running_sum([(a, ONE / (1 - Q)), (b, Q / (1 - Q) ** 2), (a, b)])
+    _assert_dot_is_running_sum([(a, ONE / (1 - Q)), (b, ONE / (1 - T))])
+    assert _assert_dot_is_running_sum([(a, b), (-a, b)]) is ZERO
+
+
+# -- a heuristic GCD candidate that lifts to a constant is a unit: it is
+# returned without trial division
+
+
+def _no_division(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("trial division ran")
+
+    monkeypatch.setattr(coeffs, "_uni_divexact", refuse)
+    monkeypatch.setattr(coeffs, "_poly_divexact", refuse)
+
+
+def test_uni_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
+    f, g = {1: 1, 0: 2}, {2: 1, 0: 3}
+    want = coeffs._uni_heugcd(f, g)
+    assert want == {0: 1}
+    _no_division(monkeypatch)
+    assert coeffs._uni_heugcd(f, g) == want
+    # a lifted -1 is made primitive to +1, as the divisions would accept
+    monkeypatch.setattr(coeffs, "_balanced_digits", lambda n, x: [-1])
+    assert coeffs._uni_heugcd(f, g) == {0: 1}
+
+
+def test_biv_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
+    f = {(1, 0): 1, (0, 1): 1, (0, 0): 2}
+    g = {(1, 0): 1, (0, 1): 1, (0, 0): 3}
+    want = _biv_heugcd(f, g)
+    assert want == {(0, 0): 1}
+    _no_division(monkeypatch)
+    assert _biv_heugcd(f, g) == want
+    # a lifted -1 keeps its sign, as the two divisions by -1 would
+    monkeypatch.setattr(coeffs, "_biv_lift_t", lambda image, x: {(0, 0): -1})
+    assert _biv_heugcd(f, g) == {(0, 0): -1}
+    # and _poly_gcd turns the sign into a positive gcd
+    monkeypatch.setattr(coeffs, "_GCD_CACHE", {})
+    assert _poly_gcd(f, g) == {(0, 0): 1}
+
+
+def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
+    # a common factor is still verified by both trial divisions
+    uni_calls, biv_calls = [], []
+    uni_kernel, biv_kernel = coeffs._uni_divexact, coeffs._poly_divexact
+
+    def uni_counted(a, b):
+        uni_calls.append(1)
+        return uni_kernel(a, b)
+
+    def biv_counted(a, b):
+        biv_calls.append(1)
+        return biv_kernel(a, b)
+
+    monkeypatch.setattr(coeffs, "_uni_divexact", uni_counted)
+    monkeypatch.setattr(coeffs, "_poly_divexact", biv_counted)
+    f = _uni_mul({1: 1, 0: 1}, {2: 1, 0: 2})
+    g = _uni_mul({1: 1, 0: 1}, {1: 2, 0: -3})
+    assert coeffs._uni_heugcd(f, g) == {1: 1, 0: 1}
+    assert len(uni_calls) == 2
+    one_plus_q = {(0, 0): 1, (1, 0): 1}
+    f = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 2})
+    g = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 3})
+    assert _biv_heugcd(f, g) == one_plus_q
+    assert len(biv_calls) == 2

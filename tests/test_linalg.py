@@ -1,11 +1,13 @@
 """Keyed matrices: composition, transpose, exact inversion."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtsym import linalg
 from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
 from qtsym.errors import SingularMatrixError
 from qtsym.linalg import CoeffMatrix
@@ -192,3 +194,44 @@ def test_apply_equals_running_sum(S, pair, n, data):
         for mu, v in S.conversion_matrix(to, frm, n).column(lam).items():
             vector[mu] = vector.get(mu, ZERO) + v * scale
     assert m.apply(vector) == _running_sum_apply(m, vector)
+
+
+def _random_sparse(rng, row_keys, col_keys, zero_rows=(), zero_cols=()):
+    values = [ONE, -ONE, ONE / 2, Q, 1 - T, ONE / (1 - Q), T / (1 - Q) ** 2, Q / (1 - T)]
+    rows = [
+        [
+            ZERO
+            if i in zero_rows or j in zero_cols or rng.random() < 0.5
+            else rng.choice(values)
+            for j in range(len(col_keys))
+        ]
+        for i in range(len(row_keys))
+    ]
+    return CoeffMatrix(row_keys, col_keys, rows)
+
+
+def test_compose_pairs_only_nonzero_entries(monkeypatch):
+    seen = []
+    kernel = linalg.dot
+
+    def spy(pairs):
+        assert pairs and all(a.num and b.num for a, b in pairs)
+        seen.append(1)
+        return kernel(pairs)
+
+    monkeypatch.setattr(linalg, "dot", spy)
+    rng = random.Random(12)
+    for n_rows, n_mid, n_cols in ((3, 4, 2), (4, 2, 5), (1, 3, 1), (5, 5, 5)):
+        rk = tuple(f"r{i}" for i in range(n_rows))
+        mk = tuple(range(n_mid))
+        ck = tuple(("c", j) for j in range(n_cols))
+        for _ in range(6):
+            # a zero row and a zero column on each side
+            a = _random_sparse(rng, rk, mk, zero_rows={0}, zero_cols={n_mid - 1})
+            b = _random_sparse(rng, mk, ck, zero_rows={0}, zero_cols={n_cols - 1})
+            got = a @ b
+            assert got == _running_sum_matmul(a, b)
+            assert got.row_keys == rk and got.col_keys == ck
+            assert all(c is ZERO for c in got.rows[0])
+            assert all(row[-1] is ZERO for row in got.rows)
+    assert seen

@@ -5,13 +5,14 @@ from math import factorial, prod
 
 import pytest
 
+from qtsym import SymmetricFunctions, ribbons
 from qtsym.errors import PartitionError, TableauError
+from qtsym.llt import llt_in_m, spin_distributions
 from qtsym.partitions import Partition, distinct_permutations, partitions_of
 from qtsym.ribbons import (
     RibbonTableau,
     _beads,
     _strip_moves,
-    _strip_table,
     core_and_quotient,
     from_core_and_quotient,
     ribbon_cells,
@@ -535,23 +536,72 @@ def test_listed_tableaux_unfold_like_constructed_ones():
     assert cases == 554
 
 
-def test_shared_strip_table_gives_the_same_histograms():
+def test_shared_strip_table_gives_the_same_histograms(monkeypatch):
     by_shape = {}
     for shape, weight, k in _empty_core_cases():
         by_shape.setdefault((shape, k), []).append(weight)
+    tables = {}
+    monkeypatch.setattr(ribbons, "_STRIP_TABLES", tables)
     for (shape, k), weights in by_shape.items():
-        _strip_table.cache_clear()
+        tables.clear()
         shared = [ribbon_spin_histogram(shape, w, k) for w in weights]
-        assert _strip_table.cache_info().currsize == 1
+        assert len(tables) == 1
         for weight, hist in zip(weights, shared):
-            _strip_table.cache_clear()
+            tables.clear()
             assert ribbon_spin_histogram(shape, weight, k) == hist, (shape, weight, k)
 
 
-def test_strip_tables_are_kept_for_few_shapes():
-    _strip_table.cache_clear()
-    for n in range(0, 13, 3):
-        for shape in partitions_of(n):
-            if core_and_quotient(shape, 3)[0] == Partition():
-                ribbon_spin_histogram(shape, (n // 3,), 3)
-    assert _strip_table.cache_info().currsize == 4
+def _three_core_free_shapes(top):
+    return [
+        shape
+        for n in range(0, top + 1, 3)
+        for shape in partitions_of(n)
+        if core_and_quotient(shape, 3)[0] == Partition()
+    ]
+
+
+def test_strip_tables_are_dropped_past_the_entry_limit(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(ribbons, "_STRIP_TABLES", tables)
+    monkeypatch.setattr(ribbons, "_STRIP_TABLE_LIMIT", 30)
+    drops = 0
+    for shape in _three_core_free_shapes(12):
+        count, total = len(tables), sum(map(len, tables.values()))
+        ribbon_spin_histogram(shape, (1,) * (shape.size // 3), 3)
+        # each shape is new: its table is added to the others, or replaces
+        # all of them once their total has passed the limit
+        if total > 30:
+            drops += 1
+            assert len(tables) == 1
+        else:
+            assert len(tables) == count + 1
+    assert drops >= 2
+
+
+def test_ribbon_and_llt_passes_enumerate_each_strip_once(monkeypatch):
+    monkeypatch.setattr(ribbons, "_STRIP_TABLES", {})
+    spin_distributions.cache_clear()
+    seen = []
+
+    def counted(beads, k, count, cap):
+        seen.append((k, cap, beads, count))
+        return _strip_moves(beads, k, count, cap)
+
+    monkeypatch.setattr(ribbons, "_strip_moves", counted)
+    try:
+        cases = [(12, 3), (10, 2)]
+        for size, k in cases:
+            for shape in partitions_of(size):
+                if core_and_quotient(shape, k)[0] == Partition():
+                    for mu in partitions_of(size // k):
+                        ribbon_tableaux(shape, mu.parts, k)
+        assert seen and len(set(seen)) == len(seen)
+        listed = len(seen)
+        S = SymmetricFunctions()
+        for size, k in cases:
+            for shape in partitions_of(size):
+                if core_and_quotient(shape, k)[0] == Partition():
+                    llt_in_m(S, shape, k)
+        assert len(seen) == listed
+    finally:
+        spin_distributions.cache_clear()

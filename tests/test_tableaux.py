@@ -143,6 +143,23 @@ def test_non_integral_counts_are_rejected():
         kostka_number(Partition([2]), (1.5, 1.5))
 
 
+def test_tableau_rejects_non_integral_entries():
+    # floats used to be truncated: [[1.5, 2.7]] built the tableau [[1, 2]]
+    with pytest.raises(TableauError):
+        Tableau([[1.5, 2.7]])
+    with pytest.raises(TableauError):
+        Tableau([[1, 2], [3.0]])
+
+
+def test_word_charge_rejects_non_integral_letters():
+    # (2.9, 1.2) used to be charged as the word (2, 1)
+    with pytest.raises(TableauError):
+        word_charge((2.9, 1.2))
+    with pytest.raises(TableauError):
+        word_charge((2, 1.0))
+    assert word_charge((2, 1)) == 0
+
+
 def test_kostka_number_checks_content_like_ssyt():
     with pytest.raises(TableauError):
         ssyt(Partition([2, 1]), (4, -1))
