@@ -1,10 +1,10 @@
 """Exact arithmetic in the field Q(q,t).
 
 A coefficient is a quotient of two polynomials in the deformation
-parameters q and t with integer coefficients.  Polynomials are sparse
-dicts mapping an exponent pair (eq, et) to a nonzero int; rational input
-is cleared of its denominators once, when a Coeff is built from it.  Every
-Coeff is kept in a canonical form:
+parameters q and t with integer coefficients, held as the sparse dicts
+whose arithmetic and gcd live in `poly`.  Rational input is cleared of
+its denominators once, when a Coeff is built from it.  Every Coeff is
+kept in a canonical form:
 
 * numerator and denominator are coprime in Z[q,t]: they share no
   polynomial factor and no integer factor,
@@ -18,12 +18,11 @@ Coeff values can key dicts and land in sets.  `numerator_terms()` and
 monic and Fraction coefficients, the form rendering uses.  All operations
 are exact; nothing here ever rounds.
 
-Two short paths skip arithmetic whose result is known in advance.  A
-product with an integer constant k scales the other operand: with num and
-den coprime, k * num / den only needs g = gcd(k, content(den)) divided out
-of k and den, so it takes no polynomial gcd, no polynomial product and no
-`_canonical` (times 1 it is the other operand itself).  And `_poly_gcd`
-returns 1 at once when either argument is 1.
+A product with an integer constant k skips arithmetic whose result is
+known in advance: it scales the other operand.  With num and den coprime,
+k * num / den only needs g = gcd(k, content(den)) divided out of k and
+den, so it takes no polynomial gcd, no polynomial product and no
+`_canonical` (times 1 it is the other operand itself).
 
 `dot`, the sum of products behind every matrix product, adds each
 product into one running numerator in place (`_poly_addmul`) and drops
@@ -35,494 +34,27 @@ path, with the same result.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 
 from .errors import CoefficientError
-
-Monomial = tuple[int, int]
-Poly = dict[Monomial, int]
-
-_ONE_POLY: Poly = {(0, 0): 1}
-
-
-def _mono_key(mono: Monomial) -> tuple[int, int]:
-    # Graded lex with t more significant than q.
-    eq, et = mono
-    return (eq + et, et)
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for mono, c in b.items():
-        s = out.get(mono, 0) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def _poly_addmul(acc: Poly, a: Poly, b: Poly) -> None:
-    """acc += a * b in place.  Coefficients that cancel stay as zeros, for
-    the caller to drop once after the last product."""
-    get = acc.get
-    for (aq, at), ca in a.items():
-        for (bq, bt), cb in b.items():
-            mono = (aq + bq, at + bt)
-            acc[mono] = get(mono, 0) + ca * cb
-
-
-def _poly_neg(a: Poly) -> Poly:
-    return {mono: -c for mono, c in a.items()}
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return {}
-    out: Poly = {}
-    for (aq, at), ca in a.items():
-        for (bq, bt), cb in b.items():
-            mono = (aq + bq, at + bt)
-            s = out.get(mono, 0) + ca * cb
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def _poly_lead(a: Poly) -> Monomial:
-    return max(a, key=_mono_key)
-
-
-def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    """The quotient of a by b in Z[q,t]; ArithmeticError unless b divides
-    a exactly."""
-    if len(b) == 1:
-        ((bq, bt), cb), = b.items()
-        mono_quot: Poly = {}
-        for (eq, et), c in a.items():
-            d, r = divmod(c, cb)
-            if eq < bq or et < bt or r:
-                raise ArithmeticError("inexact polynomial division")
-            mono_quot[(eq - bq, et - bt)] = d
-        return mono_quot
-    # any monomial order works for division: plain tuple order (lex, q
-    # first) needs no key function
-    quot: Poly = {}
-    rem = dict(a)
-    lead_b = max(b)
-    lc_b = b[lead_b]
-    while rem:
-        lead_r = max(rem)
-        dq = lead_r[0] - lead_b[0]
-        dt = lead_r[1] - lead_b[1]
-        c, r = divmod(rem[lead_r], lc_b)
-        if dq < 0 or dt < 0 or r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[(dq, dt)] = c
-        for (bq, bt), cb in b.items():
-            mono = (bq + dq, bt + dt)
-            s = rem.get(mono, 0) - c * cb
-            if s:
-                rem[mono] = s
-            else:
-                rem.pop(mono, None)
-    return quot
-
-
-# ---------------------------------------------------------------------------
-# GCD machinery.  Strategy: split off the integer and monomial contents to
-# get primitive integer polynomials, try the heuristic GCD, and fall back to
-# a primitive polynomial remainder sequence viewing each polynomial as a
-# polynomial in t whose coefficients are integer polynomials in q.  Exact
-# division has one routine per representation: _poly_divexact in Z[q,t]
-# and _uni_divexact in Z[q], both raising ArithmeticError when inexact.
-
-UniPoly = dict[int, int]  # univariate integer polynomial, exponent -> coeff
-
-
-def _uni_prem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Pseudo-remainder of integer univariate polynomials."""
-    r = dict(f)
-    dg = max(g)
-    lg = g[dg]
-    while r:
-        dr = max(r)
-        if dr < dg:
-            break
-        lr = r.pop(dr)
-        shift = dr - dg
-        for e in r:
-            r[e] *= lg
-        for e, c in g.items():
-            if e == dg:
-                continue
-            tgt = e + shift
-            s = r.get(tgt, 0) - c * lr
-            if s:
-                r[tgt] = s
-            else:
-                r.pop(tgt, None)
-    return r
-
-
-def _uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """GCD of integer univariate polynomials, primitive with positive lead.
-
-    Tries the heuristic evaluation GCD first; on failure falls back to a
-    primitive polynomial remainder sequence over the integers (dividing
-    every pseudo-remainder by its integer content keeps coefficients from
-    blowing up the way plain Euclid over the rationals does).
-    """
-    if not a:
-        return _uni_primitive(b) if b else {}
-    if not b:
-        return _uni_primitive(a)
-    f, g = _uni_primitive(a), _uni_primitive(b)
-    if max(f) < max(g):
-        f, g = g, f
-    if max(g) == 0:
-        return {0: 1}
-    if f == g:
-        return f
-    fast = _uni_heugcd(f, g)
-    if fast is not None:
-        return fast
-    while True:
-        r = _uni_prem(f, g)
-        if not r:
-            return g
-        if max(r) == 0:
-            return {0: 1}
-        f, g = g, _uni_primitive(r)
-
-
-def _uni_primitive(p: UniPoly) -> UniPoly:
-    if not p:
-        return {}
-    g = _int_gcd(*p.values())
-    if p[max(p)] < 0:
-        g = -g
-    return {e: c // g for e, c in p.items()}
-
-
-# -- heuristic GCD (GCDHEU, Char-Geddes-Gonnet 1989): evaluate at a large
-# integer, take the integer GCD, lift the digits back to a polynomial, and
-# accept the candidate only if _uni_divexact (_poly_divexact in two
-# variables) divides both inputs by it without raising.
-# Sound because a verified candidate reconstructed from gcd(f(x), g(x))
-# cannot be a proper divisor of the true GCD once x outgrows the
-# coefficients; on repeated failure callers fall back to a primitive
-# remainder sequence.
-
-
-def _balanced_digits(n: int, x: int) -> list[int]:
-    """Digits d_i with |d_i| <= x/2 and n = sum d_i * x^i."""
-    digits = []
-    half = x // 2
-    while n:
-        d = n % x
-        if d > half:
-            d -= x
-        digits.append(d)
-        n = (n - d) // x
-    return digits
-
-
-def _uni_eval(p: UniPoly, x: int) -> int:
-    return sum(c * x**e for e, c in p.items())
-
-
-def _uni_divexact(a: UniPoly, d: UniPoly) -> UniPoly:
-    """The quotient of a by d in Z[q]; ArithmeticError unless d divides a
-    exactly."""
-    quot: UniPoly = {}
-    rem = dict(a)
-    top = max(d)
-    lead = d[top]
-    while rem:
-        e = max(rem)
-        c, r = divmod(rem[e], lead)
-        if e < top or r:
-            raise ArithmeticError("inexact polynomial division")
-        shift = e - top
-        quot[shift] = c
-        for ed, cd in d.items():
-            tgt = ed + shift
-            s = rem.get(tgt, 0) - c * cd
-            if s:
-                rem[tgt] = s
-            else:
-                rem.pop(tgt, None)
-    return quot
-
-
-def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
-    """Heuristic GCD of primitive integer polynomials, or None.
-
-    A candidate that lifts to a constant is primitive, so it is 1 and is
-    returned without trial division."""
-    norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
-    x = 2 * norm + 29
-    for _ in range(6):
-        fv, gv = _uni_eval(f, x), _uni_eval(g, x)
-        if fv and gv:
-            image = _int_gcd(fv, gv)
-            cand = {
-                e: d for e, d in enumerate(_balanced_digits(image, x)) if d
-            }
-            cand = _uni_primitive(cand)
-            if len(cand) == 1 and 0 in cand:
-                return cand  # a unit divides both, so needs no trial division
-            if cand:
-                try:
-                    _uni_divexact(f, cand)
-                    _uni_divexact(g, cand)
-                    return cand
-                except ArithmeticError:
-                    pass
-        x = x * 73794 // 27011 + 47
-    return None
-
-
-IntBiv = dict[int, UniPoly]  # t-exponent -> integer polynomial in q
-
-
-def _biv_to_layers(p: Poly) -> IntBiv:
-    layers: IntBiv = {}
-    for (eq, et), c in p.items():
-        layers.setdefault(et, {})[eq] = c
-    return layers
-
-
-def _layers_to_biv(layers: IntBiv) -> Poly:
-    return {(eq, et): c for et, layer in layers.items() for eq, c in layer.items()}
-
-
-def _uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
-    out: UniPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _uni_sub(a: UniPoly, b: UniPoly) -> UniPoly:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _layers_t_content(layers: IntBiv) -> UniPoly:
-    content: UniPoly = {}
-    for layer in layers.values():
-        content = _uni_gcd(content, layer)
-    return content
-
-
-def _layers_divide_uni(layers: IntBiv, d: UniPoly) -> IntBiv:
-    """Divide every t-layer by the univariate polynomial d; ArithmeticError
-    unless d divides each exactly."""
-    return {et: _uni_divexact(layer, d) for et, layer in layers.items()}
-
-
-def _layers_prem(a: IntBiv, b: IntBiv) -> IntBiv:
-    """Pseudo-remainder of a by b with respect to t."""
-    r = {et: dict(layer) for et, layer in a.items()}
-    deg_b = max(b)
-    lead_b = b[deg_b]
-    while r and max(r) >= deg_b:
-        deg_r = max(r)
-        lead_r = r[deg_r]
-        shift = deg_r - deg_b
-        # r := lead_b * r - t^shift * lead_r * b
-        new_r: IntBiv = {}
-        for et, layer in r.items():
-            prod = _uni_mul(layer, lead_b)
-            if prod:
-                new_r[et] = prod
-        for et, layer in b.items():
-            prod = _uni_mul(layer, lead_r)
-            tgt = et + shift
-            cur = _uni_sub(new_r.get(tgt, {}), prod)
-            if cur:
-                new_r[tgt] = cur
-            else:
-                new_r.pop(tgt, None)
-        r = new_r
-    return r
-
-
-def _int_strip_content(p: Poly) -> Poly:
-    g = _int_gcd(*p.values())
-    if g > 1:
-        return {m: c // g for m, c in p.items()}
-    return p
-
-
-def _biv_eval_t(p: Poly, x: int) -> UniPoly:
-    """Substitute the integer x for t, leaving a polynomial in q."""
-    powers: dict[int, int] = {0: 1}
-    out: UniPoly = {}
-    for (eq, et), c in p.items():
-        xe = powers.get(et)
-        if xe is None:
-            xe = x**et
-            powers[et] = xe
-        s = out.get(eq, 0) + c * xe
-        if s:
-            out[eq] = s
-        else:
-            out.pop(eq, None)
-    return out
-
-
-def _biv_lift_t(image: UniPoly, x: int) -> Poly:
-    """Rebuild t-coefficients from the balanced base-x digits of each
-    q-coefficient."""
-    out: Poly = {}
-    for eq, value in image.items():
-        for et, d in enumerate(_balanced_digits(value, x)):
-            if d:
-                out[(eq, et)] = d
-    return out
-
-
-def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
-    """Heuristic GCD of primitive integer bivariate polynomials, or None.
-
-    A candidate that lifts to a constant is +1 or -1 once its content is
-    stripped, and is returned as it is, without trial division."""
-    norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
-    x = 2 * norm + 29
-    for _ in range(6):
-        fi, gi = _biv_eval_t(f, x), _biv_eval_t(g, x)
-        if fi and gi:
-            # the integer content of the images encodes any t-only factors
-            # of the GCD, so it must be folded back in before lifting
-            cont = _int_gcd(*fi.values(), *gi.values())
-            image = _uni_gcd(fi, gi)
-            if cont > 1:
-                image = {e: c * cont for e, c in image.items()}
-            cand = _int_strip_content(_biv_lift_t(image, x))
-            if len(cand) == 1 and (0, 0) in cand:
-                return cand  # a unit divides both, so needs no trial division
-            if cand:
-                try:
-                    _poly_divexact(f, cand)
-                    _poly_divexact(g, cand)
-                    return cand
-                except ArithmeticError:
-                    pass
-        x = x * 73794 // 27011 + 47
-    return None
-
-
-def _int_biv_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD of primitive integer bivariate polynomials, up to sign."""
-    la, lb = _biv_to_layers(a), _biv_to_layers(b)
-    deg_a = max(la) if la else -1
-    deg_b = max(lb) if lb else -1
-    if deg_a == 0 and deg_b == 0:
-        return {(e, 0): c for e, c in _uni_gcd(la[0], lb[0]).items()}
-    if deg_a == 0:
-        return {(e, 0): c for e, c in _uni_gcd(la[0], _layers_t_content(lb)).items()}
-    if deg_b == 0:
-        return {(e, 0): c for e, c in _uni_gcd(lb[0], _layers_t_content(la)).items()}
-    cont_a = _layers_t_content(la)
-    cont_b = _layers_t_content(lb)
-    cont_gcd = _uni_gcd(cont_a, cont_b)
-    f = _layers_divide_uni(la, cont_a)
-    g = _layers_divide_uni(lb, cont_b)
-    if max(f) < max(g):
-        f, g = g, f
-    while g:
-        if max(g) == 0:
-            # a univariate-in-q remainder: the t-primitive gcd is trivial
-            f = {0: {0: 1}}
-            break
-        r = _layers_prem(f, g)
-        if r:
-            r = _layers_divide_uni(r, _layers_t_content(r))
-        f, g = g, r
-    # pseudo-division leaves an integer factor that the t-content, being
-    # primitive, does not remove
-    result = _int_strip_content(_layers_to_biv(f))
-    if cont_gcd != {0: 1}:
-        result = _layers_to_biv(
-            {et: _uni_mul(layer, cont_gcd) for et, layer in _biv_to_layers(result).items()}
-        )
-    return result
-
-
-_GCD_CACHE: dict[tuple, Poly] = {}
-_GCD_CACHE_LIMIT = 50000
-
-
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD in Z[q,t] of nonzero polynomials, with a positive leading
-    coefficient: the gcd of the integer contents times the gcd of the
-    primitive parts.  Callers must not mutate the result, which may be
-    shared through the cache."""
-    if not a or not b:
-        return {}
-    if _poly_is_one(a) or _poly_is_one(b):
-        return _ONE_POLY
-    if len(a) == 1 or len(b) == 1:
-        # a monomial factor: componentwise minimum exponents
-        mq = min(min(eq for eq, _ in a), min(eq for eq, _ in b))
-        mt = min(min(et for _, et in a), min(et for _, et in b))
-        c = _int_gcd(*a.values(), *b.values())
-        return _ONE_POLY if c == 1 and not mq and not mt else {(mq, mt): c}
-    fa = tuple(sorted(a.items()))
-    fb = tuple(sorted(b.items()))
-    key = (fa, fb) if fa <= fb else (fb, fa)
-    cached = _GCD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    min_aq = min(eq for eq, _ in a)
-    min_at = min(et for _, et in a)
-    min_bq = min(eq for eq, _ in b)
-    min_bt = min(et for _, et in b)
-    mq, mt = min(min_aq, min_bq), min(min_at, min_bt)
-    ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
-    ia = {(eq - min_aq, et - min_at): c // ca for (eq, et), c in a.items()}
-    ib = {(eq - min_bq, et - min_bt): c // cb for (eq, et), c in b.items()}
-    if ia == ib:
-        core = ia
-    else:
-        core = _biv_heugcd(ia, ib)
-        if core is None:
-            core = _int_biv_gcd(ia, ib)
-    scale = _int_gcd(ca, cb)
-    if core[_poly_lead(core)] < 0:
-        scale = -scale
-    out = {(eq + mq, et + mt): c * scale for (eq, et), c in core.items()}
-    if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = out
-    return out
-
-
-def _poly_is_one(p: Poly) -> bool:
-    return len(p) == 1 and p.get((0, 0)) == 1
-
-
-def _poly_is_const(p: Poly) -> bool:
-    return len(p) == 1 and (0, 0) in p
+from .poly import (
+    _ONE_POLY,
+    Monomial,
+    Poly,
+    _mono_key,
+    _poly_add,
+    _poly_addmul,
+    _poly_divexact,
+    _poly_gcd,
+    _poly_is_const,
+    _poly_is_one,
+    _poly_lead,
+    _poly_mul,
+    _poly_neg,
+)
 
 
 def _make(num: Poly, den: Poly) -> "Coeff":
@@ -603,13 +135,33 @@ def _mono_render(mono: Monomial, c: Fraction, qname: str, tname: str) -> str:
     return "*".join(pieces)
 
 
+def _checked_terms(terms: dict) -> dict:
+    """terms with every exponent pair as two ints.  CoefficientError unless
+    each key is a pair of nonnegative integers, TypeError unless each value
+    is an int or a Fraction."""
+    out = {}
+    for mono, c in terms.items():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"cannot build a Q(q,t) coefficient from {c!r}")
+        try:
+            eq, et = map(operator.index, mono)
+        except (TypeError, ValueError):
+            eq = et = -1
+        if eq < 0 or et < 0:
+            raise CoefficientError(f"exponent {mono!r} is not a pair of naturals")
+        out[eq, et] = c
+    return out
+
+
 class Coeff:
     """An element of Q(q,t) held in canonical reduced form."""
 
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: dict, den: dict = _ONE_POLY):
-        """num/den from dicts of int or Fraction coefficients."""
+        """num/den from dicts of int or Fraction coefficients, keyed by
+        pairs (eq, et) of nonnegative integer exponents."""
+        num, den = _checked_terms(num), _checked_terms(den)
         scale = _int_lcm(*(c.denominator for c in (*num.values(), *den.values())))
         num = {m: c.numerator * (scale // c.denominator) for m, c in num.items() if c}
         den = {m: c.numerator * (scale // c.denominator) for m, c in den.items() if c}

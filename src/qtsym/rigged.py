@@ -45,10 +45,20 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .coeffs import Coeff, _uni_mul
+from .coeffs import Coeff
 from .errors import PartitionError
 from .partitions import Partition, partitions_of
 from .render import boxed_rows
+
+
+def _uni_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two polynomials in t with positive coefficients, such
+    as Gaussian binomials, as {exponent: coeff}: no term cancels."""
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return out
 
 
 @lru_cache(maxsize=None)

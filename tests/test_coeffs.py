@@ -1,6 +1,8 @@
 """Exact Q(q,t) arithmetic: canonical form, gcd reduction, substitution."""
 
+import ast
 import copy
+import inspect
 import operator
 import random
 from fractions import Fraction
@@ -10,45 +12,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtsym import SymmetricFunctions, coeffs
-from qtsym.coeffs import (
-    ONE,
-    Q,
-    T,
-    ZERO,
-    Coeff,
+from qtsym import SymmetricFunctions, coeffs, poly
+from qtsym.coeffs import ONE, Q, T, ZERO, Coeff, dot
+from qtsym.errors import CoefficientError
+from qtsym.poly import (
     _biv_heugcd,
-    _biv_to_layers,
-    _int_biv_gcd,
     _int_strip_content,
-    _layers_prem,
-    _layers_to_biv,
     _mono_key,
     _poly_divexact,
     _poly_gcd,
     _poly_mul,
+    _poly_prem,
+    _prs_gcd,
     _uni_divexact,
     _uni_gcd,
-    _uni_mul,
-    _uni_prem,
-    dot,
 )
-from qtsym.errors import CoefficientError
-
-
-def poly(**monos) -> Coeff:
-    """Build a polynomial coefficient from {'q^a*t^b': value} style keys."""
-    out = ZERO
-    for key, val in monos.items():
-        term = Coeff.from_value(Fraction(val))
-        for factor in key.split("_"):
-            if factor == "1":
-                continue
-            name, _, exp = factor.partition("^")
-            base = Q if name == "q" else T
-            term = term * base ** (int(exp) if exp else 1)
-        out = out + term
-    return out
 
 
 def test_basic_identities():
@@ -261,6 +239,15 @@ def _same_up_to_sign(got: dict, want: dict) -> bool:
     return got == want or got == {m: -c for m, c in want.items()}
 
 
+def _in_q(p: dict) -> dict:
+    """A univariate {exponent: coeff} dict as a polynomial in q."""
+    return {(e, 0): c for e, c in p.items()}
+
+
+def _uni_mul(a: dict, b: dict) -> dict:
+    return {eq: c for (eq, _), c in _poly_mul(_in_q(a), _in_q(b)).items()}
+
+
 F_COMMON = _int_poly(**{"1": 1, "q_t": 1, "t^2": 2})  # 1 + qt + 2t^2
 G_COPRIME = _int_poly(**{"1": 1, "q": 1, "t": 1})  # 1 + q + t
 H_COPRIME = _int_poly(**{"1": 3, "q^2_t": 1, "t^2": -1})  # 3 + q^2 t - t^2
@@ -269,8 +256,8 @@ H_COPRIME = _int_poly(**{"1": 3, "q^2_t": 1, "t^2": -1})  # 3 + q^2 t - t^2
 def test_prs_gcd_finds_common_bivariate_factor():
     a = _poly_mul(F_COMMON, G_COPRIME)
     b = _poly_mul(F_COMMON, H_COPRIME)
-    assert _same_up_to_sign(_int_biv_gcd(a, b), F_COMMON)
-    assert _same_up_to_sign(_int_biv_gcd(b, a), F_COMMON)
+    assert _same_up_to_sign(_prs_gcd(a, b), F_COMMON)
+    assert _same_up_to_sign(_prs_gcd(b, a), F_COMMON)
 
 
 def test_prs_gcd_keeps_t_content():
@@ -279,17 +266,17 @@ def test_prs_gcd_keeps_t_content():
     content = _int_poly(**{"1": 1, "q": 1})
     a = _poly_mul(content, _poly_mul(F_COMMON, G_COPRIME))
     b = _poly_mul(content, _poly_mul(F_COMMON, H_COPRIME))
-    assert _same_up_to_sign(_int_biv_gcd(a, b), _poly_mul(content, F_COMMON))
+    assert _same_up_to_sign(_prs_gcd(a, b), _poly_mul(content, F_COMMON))
     # only the content in common
     a = _poly_mul(content, G_COPRIME)
     b = _poly_mul(content, H_COPRIME)
-    assert _same_up_to_sign(_int_biv_gcd(a, b), content)
+    assert _same_up_to_sign(_prs_gcd(a, b), content)
 
 
 def test_prs_gcd_of_coprime_inputs_is_one():
-    assert _same_up_to_sign(_int_biv_gcd(G_COPRIME, H_COPRIME), {(0, 0): 1})
+    assert _same_up_to_sign(_prs_gcd(G_COPRIME, H_COPRIME), {(0, 0): 1})
     assert _same_up_to_sign(
-        _int_biv_gcd(_poly_mul(G_COPRIME, G_COPRIME), H_COPRIME), {(0, 0): 1}
+        _prs_gcd(_poly_mul(G_COPRIME, G_COPRIME), H_COPRIME), {(0, 0): 1}
     )
 
 
@@ -298,28 +285,76 @@ def test_prs_gcd_with_inputs_free_of_t():
     two_minus_q = _int_poly(**{"1": 2, "q": -1})
     only_q = _poly_mul(one_plus_q, two_minus_q)
     with_t = _poly_mul(one_plus_q, G_COPRIME)
-    assert _same_up_to_sign(_int_biv_gcd(only_q, with_t), one_plus_q)
-    assert _same_up_to_sign(_int_biv_gcd(with_t, only_q), one_plus_q)
+    assert _same_up_to_sign(_prs_gcd(only_q, with_t), one_plus_q)
+    assert _same_up_to_sign(_prs_gcd(with_t, only_q), one_plus_q)
     other = _poly_mul(one_plus_q, _int_poly(**{"1": 3, "q^2": 1}))
-    assert _same_up_to_sign(_int_biv_gcd(only_q, other), one_plus_q)
+    assert _same_up_to_sign(_prs_gcd(only_q, other), one_plus_q)
 
 
-def test_layers_pseudo_remainder():
+def _prs_with_remainders(a, b):
+    """_prs_gcd(a, b) and the (main variable, pseudo-remainder) pairs it
+    went through."""
+    steps = []
+
+    def spy(f, g, v):
+        r = _poly_prem(f, g, v)
+        steps.append((v, r))
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_poly_prem", spy)
+        return _prs_gcd(a, b), steps
+
+
+def test_prs_gcd_branches():
+    one_plus_q = _int_poly(**{"1": 1, "q": 1})
+    # main variable t: the sequence ends on a zero pseudo-remainder
+    got, steps = _prs_with_remainders(
+        _poly_mul(F_COMMON, G_COPRIME), _poly_mul(F_COMMON, H_COPRIME)
+    )
+    assert _same_up_to_sign(got, F_COMMON)
+    assert steps and all(v == 1 for v, _ in steps) and steps[-1][1] == {}
+    # main variable q when neither input has t
+    got, steps = _prs_with_remainders(
+        _poly_mul(one_plus_q, _in_q({2: 1, 0: 2})),
+        _poly_mul(one_plus_q, _in_q({1: 2, 0: -3})),
+    )
+    assert _same_up_to_sign(got, one_plus_q)
+    assert steps and all(v == 0 for v, _ in steps) and steps[-1][1] == {}
+    # one input free of t is its own content: the primitive parts meet the
+    # degree-0 exit before any pseudo-remainder
+    only_q = _poly_mul(one_plus_q, _int_poly(**{"1": 2, "q": -1}))
+    got, steps = _prs_with_remainders(only_q, _poly_mul(one_plus_q, G_COPRIME))
+    assert _same_up_to_sign(got, one_plus_q) and steps == []
+    # a nontrivial gcd of the contents is multiplied back on
+    a = _poly_mul(one_plus_q, _poly_mul(F_COMMON, G_COPRIME))
+    b = _poly_mul(one_plus_q, _poly_mul(F_COMMON, H_COPRIME))
+    got, steps = _prs_with_remainders(a, b)
+    assert _same_up_to_sign(got, _poly_mul(one_plus_q, F_COMMON))
+    # coprime inputs end on a nonzero remainder free of t, a constant once
+    # its content is divided out
+    got, steps = _prs_with_remainders(G_COPRIME, H_COPRIME)
+    assert got == {(0, 0): 1} or got == {(0, 0): -1}
+    v, last = steps[-1]
+    assert v == 1 and last and not any(et for _, et in last)
+
+
+def test_bivariate_pseudo_remainder():
     # over Z[q][t]: prem(t^2 + q, q t + 1) = q^2 * (t^2 + q) mod (q t + 1)
     #             = q^3 + 1
-    f = _biv_to_layers(_int_poly(**{"t^2": 1, "q": 1}))
-    g = _biv_to_layers(_int_poly(**{"q_t": 1, "1": 1}))
-    assert _layers_to_biv(_layers_prem(f, g)) == _int_poly(**{"q^3": 1, "1": 1})
+    f = _int_poly(**{"t^2": 1, "q": 1})
+    g = _int_poly(**{"q_t": 1, "1": 1})
+    assert _poly_prem(f, g, 1) == _int_poly(**{"q^3": 1, "1": 1})
     # an exact divisor leaves no remainder
-    fg = _biv_to_layers(_poly_mul(F_COMMON, G_COPRIME))
-    assert _layers_prem(fg, _biv_to_layers(G_COPRIME)) == {}
+    fg = _poly_mul(F_COMMON, G_COPRIME)
+    assert _poly_prem(fg, G_COPRIME, 1) == {}
 
 
 def test_univariate_pseudo_remainder():
     # prem(x^2 + 1, 2x + 1) = 4(x^2 + 1) mod (2x + 1) = 5
-    assert _uni_prem({2: 1, 0: 1}, {1: 2, 0: 1}) == {0: 5}
+    assert _poly_prem(_in_q({2: 1, 0: 1}), _in_q({1: 2, 0: 1}), 0) == _in_q({0: 5})
     # (x - 1)(x + 2) by x - 1 leaves nothing
-    assert _uni_prem({2: 1, 1: 1, 0: -2}, {1: 1, 0: -1}) == {}
+    assert _poly_prem(_in_q({2: 1, 1: 1, 0: -2}), _in_q({1: 1, 0: -1}), 0) == {}
 
 
 int_coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
@@ -334,7 +369,7 @@ def test_prs_gcd_agrees_with_heuristic_gcd(f, g, h):
     a = _int_strip_content(_poly_mul(f, g))
     b = _int_strip_content(_poly_mul(f, h))
     fast = _biv_heugcd(a, b)
-    slow = _int_biv_gcd(a, b)
+    slow = _prs_gcd(a, b)
     for factor in (a, b):
         _poly_divexact(factor, _int_strip_content(slow))  # raises unless exact
     if fast is not None:
@@ -360,19 +395,19 @@ def _gcd_workload():
 
 def test_poly_gcd_remainder_sequence_runs():
     # the heuristic GCD fails every time, so _poly_gcd reduces through the
-    # primitive remainder sequence in Z[q][t]; a fresh cache keeps the
-    # heuristic results from being reused
+    # primitive remainder sequence; a fresh cache keeps the heuristic
+    # results from being reused
     want = _gcd_workload()
     calls = []
 
     def counted_prs(a, b):
         calls.append(1)
-        return _int_biv_gcd(a, b)
+        return _prs_gcd(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coeffs, "_biv_heugcd", lambda f, g: None)
-        mp.setattr(coeffs, "_int_biv_gcd", counted_prs)
-        mp.setattr(coeffs, "_GCD_CACHE", {})
+        mp.setattr(poly, "_biv_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_prs_gcd", counted_prs)
+        mp.setattr(poly, "_GCD_CACHE", {})
         got = _gcd_workload()
     assert len(calls) > 10
     assert got == want
@@ -396,7 +431,7 @@ def test_biv_heugcd_gives_up_when_every_candidate_fails(monkeypatch):
     def inexact(a, b):
         raise ArithmeticError("inexact polynomial division")
 
-    monkeypatch.setattr(coeffs, "_poly_divexact", inexact)
+    monkeypatch.setattr(poly, "_poly_divexact", inexact)
     a = _poly_mul(F_COMMON, G_COPRIME)
     b = _poly_mul(F_COMMON, H_COPRIME)
     assert _biv_heugcd(a, b) is None
@@ -423,13 +458,13 @@ def _uni_gcd_by_remainders(a, b):
     sequence runs; also returns how many pseudo-remainders it took."""
     calls = []
 
-    def counted_prem(f, g):
+    def counted_prem(f, g, v):
         calls.append(1)
-        return _uni_prem(f, g)
+        return _poly_prem(f, g, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coeffs, "_uni_heugcd", lambda f, g: None)
-        mp.setattr(coeffs, "_uni_prem", counted_prem)
+        mp.setattr(poly, "_uni_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_poly_prem", counted_prem)
         return _uni_gcd(a, b), len(calls)
 
 
@@ -481,6 +516,53 @@ def test_arithmetic_matches_sympy(a, b):
         assert sympy.cancel(_to_sympy(a / b, q, t) - sa / sb) == 0
 
 
+def _kernel_polys(exps):
+    return st.dictionaries(exps, int_coeffs, min_size=1, max_size=4)
+
+
+_SMALL = st.integers(min_value=0, max_value=3)
+_VARIABLE_EXPONENTS = {
+    "qt": st.tuples(_SMALL, _SMALL),
+    "q": st.tuples(_SMALL, st.just(0)),
+    "t": st.tuples(st.just(0), _SMALL),
+}
+
+
+@pytest.mark.parametrize("variables", sorted(_VARIABLE_EXPONENTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_remainder_sequence_gcd_matches_sympy(variables, data):
+    # both heuristics give up, so _poly_gcd reduces by the remainder
+    # sequence alone; sympy's gcd is the independent oracle
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+    polys_in = _kernel_polys(_VARIABLE_EXPONENTS[variables])
+    f, g, h = data.draw(polys_in), data.draw(polys_in), data.draw(polys_in)
+    a, b = _poly_mul(f, g), _poly_mul(f, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_biv_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_uni_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_GCD_CACHE", {})
+        got = _poly_gcd(a, b)
+
+    def expr(p):
+        return sum(c * q**eq * t**et for (eq, et), c in p.items())
+
+    want = sympy.Poly(sympy.gcd(expr(a), expr(b)), q, t).as_dict()
+    assert _same_up_to_sign(got, {mono: int(c) for mono, c in want.items()})
+
+
+def test_poly_kernel_imports_nothing_from_coeffs():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(poly))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("coeffs" in name for name in imported)
+    assert not hasattr(poly, "Coeff")
+
+
 # -- the canonical form in Z[q,t] -------------------------------------------
 
 
@@ -519,6 +601,26 @@ def test_constructor_clears_denominators_and_content():
     c = Coeff({(0, 0): 2, (1, 0): 4}, {(0, 1): -6})
     assert c.num == {(0, 0): -1, (1, 0): -2} and c.den == {(0, 1): 3}
     _assert_canonical(c)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(-1, 0): 1}, {(0, -2): 1}, {(0.5, 0): 1}, {(1, 2, 3): 1}, {5: 1}, {"ab": 1}],
+    ids=["negative-q", "negative-t", "fractional", "triple", "int-key", "str-key"],
+)
+def test_constructor_rejects_exponents_that_are_not_pairs_of_naturals(terms):
+    with pytest.raises(CoefficientError):
+        Coeff(terms)
+    with pytest.raises(CoefficientError):
+        Coeff({(0, 0): 1}, terms)
+
+
+@pytest.mark.parametrize("value", [1.5, "1", None], ids=["float", "str", "none"])
+def test_constructor_rejects_values_that_are_not_rational(value):
+    with pytest.raises(TypeError):
+        Coeff({(0, 0): value})
+    with pytest.raises(TypeError):
+        Coeff({(0, 0): 1}, {(1, 0): value})
 
 
 def test_render_goldens():
@@ -748,19 +850,19 @@ def _no_division(monkeypatch):
     def refuse(a, b):
         raise AssertionError("trial division ran")
 
-    monkeypatch.setattr(coeffs, "_uni_divexact", refuse)
-    monkeypatch.setattr(coeffs, "_poly_divexact", refuse)
+    monkeypatch.setattr(poly, "_uni_divexact", refuse)
+    monkeypatch.setattr(poly, "_poly_divexact", refuse)
 
 
 def test_uni_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
     f, g = {1: 1, 0: 2}, {2: 1, 0: 3}
-    want = coeffs._uni_heugcd(f, g)
+    want = poly._uni_heugcd(f, g)
     assert want == {0: 1}
     _no_division(monkeypatch)
-    assert coeffs._uni_heugcd(f, g) == want
+    assert poly._uni_heugcd(f, g) == want
     # a lifted -1 is made primitive to +1, as the divisions would accept
-    monkeypatch.setattr(coeffs, "_balanced_digits", lambda n, x: [-1])
-    assert coeffs._uni_heugcd(f, g) == {0: 1}
+    monkeypatch.setattr(poly, "_balanced_digits", lambda n, x: [-1])
+    assert poly._uni_heugcd(f, g) == {0: 1}
 
 
 def test_biv_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
@@ -771,17 +873,17 @@ def test_biv_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
     _no_division(monkeypatch)
     assert _biv_heugcd(f, g) == want
     # a lifted -1 keeps its sign, as the two divisions by -1 would
-    monkeypatch.setattr(coeffs, "_biv_lift_t", lambda image, x: {(0, 0): -1})
+    monkeypatch.setattr(poly, "_biv_lift_t", lambda image, x: {(0, 0): -1})
     assert _biv_heugcd(f, g) == {(0, 0): -1}
     # and _poly_gcd turns the sign into a positive gcd
-    monkeypatch.setattr(coeffs, "_GCD_CACHE", {})
+    monkeypatch.setattr(poly, "_GCD_CACHE", {})
     assert _poly_gcd(f, g) == {(0, 0): 1}
 
 
 def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
     # a common factor is still verified by both trial divisions
     uni_calls, biv_calls = [], []
-    uni_kernel, biv_kernel = coeffs._uni_divexact, coeffs._poly_divexact
+    uni_kernel, biv_kernel = poly._uni_divexact, poly._poly_divexact
 
     def uni_counted(a, b):
         uni_calls.append(1)
@@ -791,11 +893,11 @@ def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
         biv_calls.append(1)
         return biv_kernel(a, b)
 
-    monkeypatch.setattr(coeffs, "_uni_divexact", uni_counted)
-    monkeypatch.setattr(coeffs, "_poly_divexact", biv_counted)
+    monkeypatch.setattr(poly, "_uni_divexact", uni_counted)
+    monkeypatch.setattr(poly, "_poly_divexact", biv_counted)
     f = _uni_mul({1: 1, 0: 1}, {2: 1, 0: 2})
     g = _uni_mul({1: 1, 0: 1}, {1: 2, 0: -3})
-    assert coeffs._uni_heugcd(f, g) == {1: 1, 0: 1}
+    assert poly._uni_heugcd(f, g) == {1: 1, 0: 1}
     assert len(uni_calls) == 2
     one_plus_q = {(0, 0): 1, (1, 0): 1}
     f = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 2})
