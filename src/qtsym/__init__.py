@@ -4,8 +4,8 @@ Quick start:
 
     >>> from qtsym import SymmetricFunctions
     >>> S = SymmetricFunctions()
-    >>> s, p = S["s"], S["p"]
-    >>> print(s([2, 1]) * p([1]))
+    >>> s = S["s"]
+    >>> print(s([2, 1]) * s([1]))
     s[2,1,1] + s[2,2] + s[3,1]
 """
 

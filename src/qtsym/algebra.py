@@ -28,14 +28,13 @@ from .partitions import Partition, partitions_of
 
 
 class _Basis:
-    __slots__ = ("name", "description", "multiplicative", "product", "order")
+    __slots__ = ("name", "description", "multiplicative", "product")
 
-    def __init__(self, name, description, multiplicative, product, order):
+    def __init__(self, name, description, multiplicative, product):
         self.name = name
         self.description = description
         self.multiplicative = multiplicative
         self.product = product
-        self.order = order
 
 
 class _Edge:
@@ -80,21 +79,11 @@ class SymElement:
     def support(self) -> list[Partition]:
         return sorted(self.terms, key=lambda p: (p.size, p.parts))
 
-    def homogeneous_components(self) -> dict[int, "SymElement"]:
-        return {
-            n: SymElement(self.algebra, self.basis, terms)
-            for n, terms in _by_degree(self.terms).items()
-        }
-
     def convert(self, target: str) -> "SymElement":
         return self.algebra.convert(self, target)
 
     def substitute(self, assignments=None, **kw) -> "SymElement":
-        return SymElement(
-            self.algebra,
-            self.basis,
-            {lam: c.substitute(assignments, **kw) for lam, c in self.terms.items()},
-        )
+        return self.map_coefficients(lambda c: c.substitute(assignments, **kw))
 
     def map_coefficients(self, fn: Callable[[Coeff], Coeff]) -> "SymElement":
         return SymElement(
@@ -249,11 +238,10 @@ def _hall_qt_diag(lam: Partition) -> Coeff:
 class SymmetricFunctions:
     """Registry of bases, conversions, scalar products and operators."""
 
-    def __init__(self, full: bool = True):
+    def __init__(self):
+        # bases in registration order, which orders bases() and breaks ties
         self._bases: dict[str, _Basis] = {}
-        self._basis_order: list[str] = []
         self._edges: list[_Edge] = []
-        self._explicit_pairs: set[tuple[str, str]] = set()
         self._operators: dict[str, _Operator] = {}
         self._scalar_products: dict[str, Callable[[Partition], Coeff]] = {
             "hall": _hall_diag,
@@ -265,20 +253,19 @@ class SymmetricFunctions:
         # per source basis, its breadth-first parent tree over _adjacency()
         self._trees: dict[str, dict[str, tuple[str, _Edge] | None]] = {}
         self._gs_cache: dict[tuple[str, int], dict[Partition, SymElement]] = {}
-        # scalar-product caches: diagonal values per (product, nu), and per
-        # (product, basis, lam) the lam column over p weighted by them
+        # scalar-product caches: diagonal values per (product, nu), for good,
+        # and per (product, basis, lam) the lam column over p weighted by them
         self._diagonals: dict[tuple[str, Partition], Coeff] = {}
         self._weighted_columns: dict[
             tuple[str, str, Partition], dict[Partition, Coeff]
         ] = {}
         # per (operator, partition), the operator's image of that partition
         self._operator_images: dict[tuple[str, Partition], SymElement] = {}
-        if full:
-            from .classical import register_classical
-            from .qt import register_qt
+        from .classical import register_classical
+        from .qt import register_qt
 
-            register_classical(self)
-            register_qt(self)
+        register_classical(self)
+        register_qt(self)
 
     # -- registration ----------------------------------------------------
 
@@ -296,10 +283,7 @@ class SymmetricFunctions:
             raise BasisError(f"basis name {name!r} collides with a field variable")
         if name in self._bases:
             raise BasisError(f"basis {name!r} is already registered")
-        self._bases[name] = _Basis(
-            name, description, multiplicative, product, len(self._basis_order)
-        )
-        self._basis_order.append(name)
+        self._bases[name] = _Basis(name, description, multiplicative, product)
         self._invalidate_routes()
         return BasisHandle(self, name)
 
@@ -311,11 +295,7 @@ class SymmetricFunctions:
         self._require_basis(to)
         if frm == to:
             raise BasisError("conversions must relate two different bases")
-        if (frm, to) in self._explicit_pairs:
-            raise BasisError(f"conversion {frm} -> {to} is already registered")
-        self._edges.append(_Edge(frm, to, "explicit", expand, f"{frm}->{to}"))
-        self._explicit_pairs.add((frm, to))
-        self._invalidate_routes()
+        self._add_edge(_Edge(frm, to, "explicit", expand, f"{frm}->{to}"))
 
     def declare_transpose_conversion(
         self, a: str, b: str, b_dual: str, a_dual: str
@@ -327,12 +307,16 @@ class SymmetricFunctions:
         """
         for name in (a, b, b_dual, a_dual):
             self._require_basis(name)
-        if (b_dual, a_dual) in self._explicit_pairs:
-            raise BasisError(f"conversion {b_dual} -> {a_dual} is already registered")
-        self._edges.append(
+        self._add_edge(
             _Edge(b_dual, a_dual, "transpose", (a, b), f"{b_dual}->{a_dual}#T")
         )
-        self._explicit_pairs.add((b_dual, a_dual))
+
+    def _add_edge(self, edge: _Edge) -> None:
+        if any(e.frm == edge.frm and e.to == edge.to for e in self._edges):
+            raise BasisError(
+                f"conversion {edge.frm} -> {edge.to} is already registered"
+            )
+        self._edges.append(edge)
         self._invalidate_routes()
 
     def register_scalar_product(
@@ -366,7 +350,7 @@ class SymmetricFunctions:
         return name in self._bases
 
     def bases(self) -> list[tuple[str, str]]:
-        return [(n, self._bases[n].description) for n in self._basis_order]
+        return [(n, b.description) for n, b in self._bases.items()]
 
     def scalar_products(self) -> list[str]:
         return list(self._scalar_products)
@@ -389,12 +373,12 @@ class SymmetricFunctions:
         return SymElement(self, basis, {Partition(value): ONE})
 
     def zero(self, basis: str = "") -> SymElement:
-        basis = basis or self._basis_order[0]
+        basis = basis or next(iter(self._bases))
         self._require_basis(basis)
         return SymElement(self, basis, {})
 
     def one(self, basis: str = "") -> SymElement:
-        basis = basis or self._basis_order[0]
+        basis = basis or next(iter(self._bases))
         return self.element(basis, Partition())
 
     # -- the conversion graph ---------------------------------------------
@@ -402,15 +386,15 @@ class SymmetricFunctions:
     def _invalidate_routes(self) -> None:
         self._trees.clear()
         self._path_matrices.clear()
-        self._diagonals.clear()
         self._weighted_columns.clear()
 
     def _adjacency(self) -> list[_Edge]:
         """Directed edges in deterministic order: explicit registrations
         first, then the derivable inverses that no explicit edge shadows."""
+        explicit = {(e.frm, e.to) for e in self._edges}
         out = list(self._edges)
         for edge in self._edges:
-            if (edge.to, edge.frm) not in self._explicit_pairs:
+            if (edge.to, edge.frm) not in explicit:
                 out.append(
                     _Edge(edge.to, edge.frm, "inverse", edge, f"{edge.key}~inv")
                 )
@@ -532,7 +516,7 @@ class SymmetricFunctions:
         da = self.distances_from(a)
         db = self.distances_from(b)
         best: tuple[int, str] | None = None
-        for name in self._basis_order:
+        for name in self._bases:
             if name in da and name in db:
                 score = da[name] + db[name]
                 if best is None or score < best[0]:
@@ -550,11 +534,7 @@ class SymmetricFunctions:
             b = self.convert(b, target)
         terms = dict(a.terms)
         for lam, c in b.terms.items():
-            s = terms.get(lam, ZERO) + c
-            if s.is_zero():
-                terms.pop(lam, None)
-            else:
-                terms[lam] = s
+            terms[lam] = terms.get(lam, ZERO) + c
         return SymElement(self, a.basis, terms)
 
     def multiply(self, a: SymElement, b: SymElement) -> SymElement:
@@ -565,11 +545,7 @@ class SymmetricFunctions:
                 for lam, ca in a.terms.items():
                     for mu, cb in b.terms.items():
                         prod = Partition(sorted(lam.parts + mu.parts, reverse=True))
-                        s = terms.get(prod, ZERO) + ca * cb
-                        if s.is_zero():
-                            terms.pop(prod, None)
-                        else:
-                            terms[prod] = s
+                        terms[prod] = terms.get(prod, ZERO) + ca * cb
                 return SymElement(self, a.basis, terms)
             if info.product is not None:
                 terms = {}
@@ -577,11 +553,7 @@ class SymmetricFunctions:
                     for mu, cb in b.terms.items():
                         cab = ca * cb
                         for nu, mult in info.product(lam, mu).items():
-                            s = terms.get(nu, ZERO) + cab * mult
-                            if s.is_zero():
-                                terms.pop(nu, None)
-                            else:
-                                terms[nu] = s
+                            terms[nu] = terms.get(nu, ZERO) + cab * mult
                 return SymElement(self, a.basis, terms)
         if "h" not in self._bases:
             raise BasisError(
@@ -667,18 +639,9 @@ class SymmetricFunctions:
                 c = pair(p_coords, prev_p) / prev_norm
                 if c.is_zero():
                     continue
-                for mu, v in prev_m.items():
-                    s = m_coords.get(mu, ZERO) - c * v
-                    if s.is_zero():
-                        m_coords.pop(mu, None)
-                    else:
-                        m_coords[mu] = s
-                for mu, v in prev_p.items():
-                    s = p_coords.get(mu, ZERO) - c * v
-                    if s.is_zero():
-                        p_coords.pop(mu, None)
-                    else:
-                        p_coords[mu] = s
+                for coords, prev in ((m_coords, prev_m), (p_coords, prev_p)):
+                    for mu, v in prev.items():
+                        coords[mu] = coords.get(mu, ZERO) - c * v
             norm = pair(p_coords, p_coords)
             if norm.is_zero():
                 raise ScalarProductError(
@@ -716,11 +679,7 @@ class SymmetricFunctions:
                 self._operator_images[(name, lam)] = image
             bucket = buckets.setdefault(image.basis, {})
             for mu, d in image.terms.items():
-                s = bucket.get(mu, ZERO) + c * d
-                if s.is_zero():
-                    bucket.pop(mu, None)
-                else:
-                    bucket[mu] = s
+                bucket[mu] = bucket.get(mu, ZERO) + c * d
         pieces = [
             SymElement(self, basis, terms) for basis, terms in buckets.items()
         ]

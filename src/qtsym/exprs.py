@@ -262,7 +262,7 @@ _BINARY = {
 
 
 class _Evaluator:
-    def __init__(self, S: SymmetricFunctions, src: str, scalars_only: bool):
+    def __init__(self, S: SymmetricFunctions | None, src: str, scalars_only: bool):
         self.S = S
         self.src = src
         self.scalars_only = scalars_only
@@ -398,9 +398,7 @@ def evaluate(S: SymmetricFunctions, src: str):
 
 def coefficient_from_text(src: str) -> Coeff:
     """Evaluate text that must denote a plain Q(q,t) coefficient."""
-    value = _Evaluator(
-        SymmetricFunctions(full=False), src, scalars_only=True
-    ).run(parse(src))
+    value = _Evaluator(None, src, scalars_only=True).run(parse(src))
     if not isinstance(value, Coeff):
         raise ExpressionError(f"{src!r} is not a coefficient")
     return value

@@ -13,7 +13,8 @@ that does not divide that one falls back to adding the products one at a
 time.  Composition hands `dot` only the pairs of nonzero entries: each
 right-hand column's nonzero entries are listed once, and each row keeps
 those whose left entry is nonzero too.  Applying the matrix to a vector
-with one nonzero entry sums nothing: it scales that column.
+with one nonzero entry sums nothing: it scales that column.  Inversion
+eliminates on the rows of [A | I], whose right half ends as the inverse.
 """
 
 from __future__ import annotations
@@ -131,48 +132,42 @@ class CoeffMatrix:
         return out
 
     def invert(self, label: str = "") -> "CoeffMatrix":
-        """Exact inverse via Gauss-Jordan elimination."""
+        """Exact inverse by Gauss-Jordan elimination on the rows of [A | I].
+
+        Each step works on the pivot row's nonzeros right of the pivot, as no
+        later step reads the columns up to it: a triangular matrix costs its
+        nonzeros."""
         if len(self.row_keys) != len(self.col_keys):
             raise SingularMatrixError(f"matrix {label or '?'} is not square")
         n = len(self.row_keys)
-        work = [list(r) for r in self.rows]
-        inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        rows = [
+            list(r) + [ONE if i == j else ZERO for j in range(n)]
+            for i, r in enumerate(self.rows)
+        ]
         for col in range(n):
             pivot = next(
-                (r for r in range(col, n) if not work[r][col].is_zero()), None
+                (r for r in range(col, n) if not rows[r][col].is_zero()), None
             )
             if pivot is None:
                 raise SingularMatrixError(
                     f"singular basis-change matrix{': ' + label if label else ''}"
                 )
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-            # row operations touch only the nonzero columns of the pivot row,
-            # so a triangular matrix costs only its nonzero entries; columns
-            # up to col of `work` are never read again, so they are skipped
-            w_cols = [j for j in range(col + 1, n) if not work[col][j].is_zero()]
-            i_cols = [j for j in range(n) if not inv[col][j].is_zero()]
-            p = work[col][col]
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            prow = rows[col]
+            cols = [j for j in range(col + 1, 2 * n) if not prow[j].is_zero()]
+            p = prow[col]
             if not p.is_one():
                 pinv = ONE / p
-                for row, cols in ((work[col], w_cols), (inv[col], i_cols)):
-                    for j in cols:
-                        row[j] = row[j] * pinv
-            for r in range(n):
-                if r == col:
+                for j in cols:
+                    prow[j] = prow[j] * pinv
+            for r, row in enumerate(rows):
+                f = row[col]
+                if r == col or f.is_zero():
                     continue
-                f = work[r][col]
-                if f.is_zero():
-                    continue
-                for row, prow, cols in (
-                    (work[r], work[col], w_cols),
-                    (inv[r], inv[col], i_cols),
-                ):
-                    for j in cols:
-                        row[j] = row[j] - f * prow[j]
+                for j in cols:
+                    row[j] = row[j] - f * prow[j]
         # row keys and column keys swap roles in the inverse
-        return CoeffMatrix(self.col_keys, self.row_keys, inv)
+        return CoeffMatrix(self.col_keys, self.row_keys, [r[n:] for r in rows])
 
     def is_identity(self) -> bool:
         if self.row_keys != self.col_keys:

@@ -13,7 +13,11 @@ regardless of weight, so relative powers between different weights stay
 meaningful.  The result is symmetric in the sense that the coefficient
 polynomial only depends on the sorted weight.
 
-Generalized Kostka polynomials are the Schur coefficients of H.
+Generalized Kostka polynomials are the Schur coefficients of H.  Spin
+counts rows minus one per ribbon, twice the spin of Lascoux, Leclerc and
+Thibon (1997), so their t is t^2 here: for k >= l(mu), the s_lam
+coefficient of H_{k mu}^(k) (each part of mu times k) is t^(2 n(mu))
+K_{lam,mu}(1/t^2), with K the charge Kostka polynomial.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import PartitionError
@@ -22,7 +23,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError:
+            raise PartitionError("partition parts must be integers") from None
         for i, p in enumerate(parts):
             if p <= 0:
                 raise PartitionError(f"partition parts must be positive, got {p}")

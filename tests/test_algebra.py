@@ -208,6 +208,22 @@ def test_monomial_products(S):
     assert m([2, 1]) * m() == m([2, 1])
 
 
+def test_sums_that_cancel_leave_no_zero_term(S):
+    s, m, p = S["s"], S["m"], S["p"]
+    pair, three, eleven = Partition([1, 1]), Partition([3]), Partition([1, 1, 1])
+    assert ((s([2]) + s([1, 1])) + (s([3]) - s([2]))).terms == {pair: ONE, three: ONE}
+    # multiplicative rule: p[2,1] arises twice with opposite signs
+    got = (p([1]) + p([2])) * (p([1]) - p([2]))
+    assert got.terms == {pair: ONE, Partition([2, 2]): -ONE}
+    # structure rules: m[2,1] and s[2,1] arise twice with opposite signs
+    assert (m([1]) * (m([2]) - m([1, 1]))).terms == {three: ONE, eleven: -3 * ONE}
+    assert (s([1]) * (s([2]) - s([1, 1]))).terms == {three: ONE, eleven: -ONE}
+    S2 = SymmetricFunctions()
+    S2.declare_operator("top", "p", lambda lam: S2["s"]([lam.size]))
+    got = S2.apply_operator("top", S2["p"]([2]) - S2["p"]([1, 1]) + S2["p"]([3]))
+    assert got.basis == "s" and got.terms == {three: ONE}
+
+
 def test_products_cross_check_via_powersums(S):
     # multiply in s, then verify through the multiplicative p route
     for a, b in [
@@ -615,6 +631,35 @@ def test_duplicate_registration_rejected():
     S2.declare_conversion("X", "m", lambda lam: S2.element("m", lam))
     with pytest.raises(BasisError):
         S2.declare_conversion("X", "m", lambda lam: S2.element("m", lam))
+    S2.register_basis("f")
+    S2.declare_transpose_conversion("e", "m", "h", "f")
+    with pytest.raises(BasisError, match="h -> f is already registered"):
+        S2.declare_transpose_conversion("e", "m", "h", "f")
+    with pytest.raises(BasisError, match="h -> f is already registered"):
+        S2.declare_conversion("h", "f", lambda lam: S2.element("f", lam))
+    # a transpose onto an explicit edge's pair
+    with pytest.raises(BasisError, match="p -> m is already registered"):
+        S2.declare_transpose_conversion("m", "p", "p", "m")
+
+
+def test_bases_and_the_default_basis_follow_registration_order():
+    S2 = SymmetricFunctions()
+    S2.register_basis("Z", "registered last")
+    names = [n for n, _ in S2.bases()]
+    assert names == [*CLASSICAL, "P", "Q", "QP", "McdP", "Z"]
+    assert S2.zero().basis == S2.one().basis == "m"
+    assert S2.one() == S2["m"]()
+
+
+def test_explicit_reverse_edge_replaces_the_derived_inverse():
+    S2 = SymmetricFunctions()
+    S2.register_basis("X")
+    S2.declare_conversion("X", "m", lambda lam: S2.element("m", lam))
+    assert S2.convert(S2["m"]([2, 1]), "X") == S2["X"]([2, 1])
+    # a rule that is not the inverse shows which edge the route takes
+    S2.declare_conversion("m", "X", lambda lam: 2 * S2.element("X", lam))
+    assert S2.convert(S2["m"]([2, 1]), "X") == 2 * S2["X"]([2, 1])
+    assert S2.convert(S2["X"]([2, 1]), "m") == S2["m"]([2, 1])
 
 
 def test_disconnected_basis_fails_at_conversion_time():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtsym import linalg
@@ -55,6 +55,31 @@ def test_pivot_search_handles_leading_zero():
     m = CoeffMatrix(("a", "b"), ("a", "b"), [[ZERO, ONE], [ONE, ZERO]])
     inv = m.invert()
     assert (m @ inv).is_identity()
+
+
+_ENTRIES = [
+    ZERO, ONE, -ONE, c(2), c(Fraction(1, 3)), Q, T, ONE + Q * T, ONE / (1 - T),
+    Q / (1 - Q * T),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_inverse_is_two_sided_when_rows_must_swap(n, data):
+    keys = tuple(range(n))
+    entry = st.sampled_from(_ENTRIES)
+    rows = [[data.draw(entry) for _ in keys] for _ in keys]
+    # every leading entry but the last is zero, so the first pivot is a swap
+    for row in rows[:-1]:
+        row[0] = ZERO
+    rows[-1][0] = data.draw(st.sampled_from(_ENTRIES[1:]))
+    m = CoeffMatrix(keys, keys, rows)
+    try:
+        inv = m.invert()
+    except SingularMatrixError:
+        assume(False)
+    assert (m @ inv).is_identity()
+    assert (inv @ m).is_identity()
 
 
 def test_singular_raises_with_label():

@@ -7,6 +7,7 @@ from qtsym.errors import TableauError
 from qtsym.llt import generalized_kostka, llt_in_m, spin_distributions
 from qtsym.partitions import Partition, distinct_permutations, partitions_of
 from qtsym.ribbons import core_and_quotient, ribbon_tableaux
+from qtsym.tableaux import kostka_poly
 
 
 def test_single_cell_ribbons_give_schur(S):
@@ -100,6 +101,23 @@ def test_generalized_kostka_positivity(S):
                         assert eq == 0, (lam, mu, k)
                         assert value.denominator == 1, (lam, mu, k)
                         assert value > 0, (lam, mu, k)
+
+
+def test_generalized_kostka_of_k_mu_is_the_charge_kostka_polynomial(S):
+    # Lascoux-Leclerc-Thibon (1997): for k >= l(mu), H_{k mu}^(k) has only
+    # even powers of t (spin counts rows minus one per ribbon), and with t^2
+    # read as t its coefficient of s_lam is t^n(mu) K_{lam,mu}(1/t)
+    for n in range(1, 8):
+        for mu in partitions_of(n):
+            for k in range(max(2, len(mu)), len(mu) + (3 if n <= 6 else 2)):
+                shape = Partition([k * part for part in mu])
+                for lam in partitions_of(n):
+                    got = generalized_kostka(S, shape, lam, k).poly_terms()
+                    assert all(eq == 0 and et % 2 == 0 for eq, et in got)
+                    charge = kostka_poly(lam, mu.parts).poly_terms()
+                    expected = {mu.n_stat() - et: v for (_, et), v in charge.items()}
+                    halved = {et // 2: v for (_, et), v in got.items()}
+                    assert halved == expected, (lam, mu, k)
 
 
 def test_generalized_kostka_at_k_one_is_delta(S):

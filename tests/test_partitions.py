@@ -1,5 +1,6 @@
 """Partition container, enumeration order, dominance, strips."""
 
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -45,6 +46,27 @@ def test_validation():
         Partition([-1])
     assert Partition([3, 1]).parts == (3, 1)
     assert Partition().parts == ()
+
+
+# non-integer parts used to be truncated: [2.7, 1.2] built the partition [2,1]
+def test_float_parts_rejected():
+    with pytest.raises(PartitionError, match="must be integers"):
+        Partition([2.7, 1.2])
+
+
+def test_str_parts_rejected():
+    with pytest.raises(PartitionError, match="must be integers"):
+        Partition(["3", "1"])
+
+
+def test_fraction_parts_rejected():
+    with pytest.raises(PartitionError, match="must be integers"):
+        Partition([Fraction(5, 2), 1])
+
+
+def test_basis_element_with_float_part_rejected(S):
+    with pytest.raises(PartitionError, match="must be integers"):
+        S["s"]([2.5])
 
 
 def test_enumeration_order():
