@@ -390,15 +390,12 @@ class SymmetricFunctions:
 
     def _adjacency(self) -> list[_Edge]:
         """Directed edges in deterministic order: explicit registrations
-        first, then the derivable inverses that no explicit edge shadows."""
-        explicit = {(e.frm, e.to) for e in self._edges}
-        out = list(self._edges)
-        for edge in self._edges:
-            if (edge.to, edge.frm) not in explicit:
-                out.append(
-                    _Edge(edge.to, edge.frm, "inverse", edge, f"{edge.key}~inv")
-                )
-        return out
+        first, then the inverse of each.  An inverse that repeats an explicit
+        (frm, to) pair comes after it, so the breadth-first parent tree never
+        takes it."""
+        return self._edges + [
+            _Edge(e.to, e.frm, "inverse", e, f"{e.key}~inv") for e in self._edges
+        ]
 
     def _parent_tree(self, frm: str) -> dict[str, tuple[str, _Edge] | None]:
         """Every basis reachable from frm, in breadth-first order, mapped to

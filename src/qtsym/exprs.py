@@ -25,6 +25,13 @@ exceed it is an error raised before any computation starts, so a typo such
 as ``McdP[13]`` or ``s[7]*s[7]`` fails at once instead of starting a run
 whose cost grows steeply with the degree.
 
+Each distinct source text is parsed once: ``evaluate`` and
+``coefficient_from_text`` take their trees from an LRU cache of the last
+512 texts, whose hit and miss counts ``_parsed.cache_info()`` reports.
+A tree holds no registry state and evaluation never mutates it, so one
+tree serves every registry; a text that fails to parse is not cached.
+``parse`` itself still builds a fresh tree on every call.
+
 Names resolve at evaluation time against the registry, so bases
 registered after parsing still work.  ``to_<basis>(f)`` converts,
 ``scalar``/``scalar_t``/``scalar_qt`` take the three inner products, and
@@ -33,6 +40,7 @@ any registered operator name (such as ``omega``) is callable.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .algebra import SymElement, SymmetricFunctions
@@ -251,6 +259,13 @@ def parse(src: str) -> Node:
     return _Parser(src).parse()
 
 
+@functools.lru_cache(maxsize=512)
+def _parsed(src: str) -> Node:
+    """The tree of src, shared by every caller.  A miss looks parse up by
+    name, so a tracer that replaces exprs.parse still sees every miss."""
+    return parse(src)
+
+
 _SCALAR_CALLS = {"scalar": "hall", "scalar_t": "hall_t", "scalar_qt": "hall_qt"}
 
 _BINARY = {
@@ -393,15 +408,13 @@ def _degree(value) -> int:
 
 def evaluate(S: SymmetricFunctions, src: str):
     """Parse and evaluate; the result is an element or a coefficient."""
-    return _Evaluator(S, src, scalars_only=False).run(parse(src))
+    return _Evaluator(S, src, scalars_only=False).run(_parsed(src))
 
 
 def coefficient_from_text(src: str) -> Coeff:
     """Evaluate text that must denote a plain Q(q,t) coefficient."""
-    value = _Evaluator(None, src, scalars_only=True).run(parse(src))
-    if not isinstance(value, Coeff):
-        raise ExpressionError(f"{src!r} is not a coefficient")
-    return value
+    # a scalars_only evaluator rejects every element, so the value is a Coeff
+    return _Evaluator(None, src, scalars_only=True).run(_parsed(src))
 
 
 def element_from_json(S: SymmetricFunctions, data) -> SymElement:

@@ -662,6 +662,133 @@ def test_explicit_reverse_edge_replaces_the_derived_inverse():
     assert S2.convert(S2["X"]([2, 1]), "m") == S2["m"]([2, 1])
 
 
+# The edge chain of every route, by edge key: "a->b" is an explicit edge and
+# "a->b~inv" its inverse.  A new basis or edge that reroutes an existing
+# pair shows up here.
+DEFAULT_ROUTES = {
+    ("m", "e"): "e->m~inv",
+    ("m", "h"): "h->m~inv",
+    ("m", "p"): "p->m~inv",
+    ("m", "s"): "s->m~inv",
+    ("m", "P"): "P->m~inv",
+    ("m", "Q"): "P->m~inv Q->P~inv",
+    ("m", "QP"): "s->m~inv QP->s~inv",
+    ("m", "McdP"): "McdP->m~inv",
+    ("e", "m"): "e->m",
+    ("e", "h"): "e->m h->m~inv",
+    ("e", "p"): "e->m p->m~inv",
+    ("e", "s"): "e->m s->m~inv",
+    ("e", "P"): "e->m P->m~inv",
+    ("e", "Q"): "e->m P->m~inv Q->P~inv",
+    ("e", "QP"): "e->m s->m~inv QP->s~inv",
+    ("e", "McdP"): "e->m McdP->m~inv",
+    ("h", "m"): "h->m",
+    ("h", "e"): "h->m e->m~inv",
+    ("h", "p"): "h->m p->m~inv",
+    ("h", "s"): "h->m s->m~inv",
+    ("h", "P"): "h->m P->m~inv",
+    ("h", "Q"): "h->m P->m~inv Q->P~inv",
+    ("h", "QP"): "h->m s->m~inv QP->s~inv",
+    ("h", "McdP"): "h->m McdP->m~inv",
+    ("p", "m"): "p->m",
+    ("p", "e"): "p->m e->m~inv",
+    ("p", "h"): "p->m h->m~inv",
+    ("p", "s"): "p->m s->m~inv",
+    ("p", "P"): "p->m P->m~inv",
+    ("p", "Q"): "p->m P->m~inv Q->P~inv",
+    ("p", "QP"): "p->m s->m~inv QP->s~inv",
+    ("p", "McdP"): "p->m McdP->m~inv",
+    ("s", "m"): "s->m",
+    ("s", "e"): "s->m e->m~inv",
+    ("s", "h"): "s->m h->m~inv",
+    ("s", "p"): "s->m p->m~inv",
+    ("s", "P"): "s->m P->m~inv",
+    ("s", "Q"): "s->m P->m~inv Q->P~inv",
+    ("s", "QP"): "QP->s~inv",
+    ("s", "McdP"): "s->m McdP->m~inv",
+    ("P", "m"): "P->m",
+    ("P", "e"): "P->m e->m~inv",
+    ("P", "h"): "P->m h->m~inv",
+    ("P", "p"): "P->m p->m~inv",
+    ("P", "s"): "P->m s->m~inv",
+    ("P", "Q"): "Q->P~inv",
+    ("P", "QP"): "P->m s->m~inv QP->s~inv",
+    ("P", "McdP"): "P->m McdP->m~inv",
+    ("Q", "m"): "Q->P P->m",
+    ("Q", "e"): "Q->P P->m e->m~inv",
+    ("Q", "h"): "Q->P P->m h->m~inv",
+    ("Q", "p"): "Q->P P->m p->m~inv",
+    ("Q", "s"): "Q->P P->m s->m~inv",
+    ("Q", "P"): "Q->P",
+    ("Q", "QP"): "Q->P P->m s->m~inv QP->s~inv",
+    ("Q", "McdP"): "Q->P P->m McdP->m~inv",
+    ("QP", "m"): "QP->s s->m",
+    ("QP", "e"): "QP->s s->m e->m~inv",
+    ("QP", "h"): "QP->s s->m h->m~inv",
+    ("QP", "p"): "QP->s s->m p->m~inv",
+    ("QP", "s"): "QP->s",
+    ("QP", "P"): "QP->s s->m P->m~inv",
+    ("QP", "Q"): "QP->s s->m P->m~inv Q->P~inv",
+    ("QP", "McdP"): "QP->s s->m McdP->m~inv",
+    ("McdP", "m"): "McdP->m",
+    ("McdP", "e"): "McdP->m e->m~inv",
+    ("McdP", "h"): "McdP->m h->m~inv",
+    ("McdP", "p"): "McdP->m p->m~inv",
+    ("McdP", "s"): "McdP->m s->m~inv",
+    ("McdP", "P"): "McdP->m P->m~inv",
+    ("McdP", "Q"): "McdP->m P->m~inv Q->P~inv",
+    ("McdP", "QP"): "McdP->m s->m~inv QP->s~inv",
+}
+
+BOTH_WAYS_ROUTES = {
+    ("m", "X"): "m->X",
+    ("e", "X"): "e->m m->X",
+    ("h", "X"): "h->m m->X",
+    ("p", "X"): "p->m m->X",
+    ("s", "X"): "s->m m->X",
+    ("P", "X"): "P->m m->X",
+    ("Q", "X"): "Q->P P->m m->X",
+    ("QP", "X"): "QP->s s->m m->X",
+    ("McdP", "X"): "McdP->m m->X",
+    ("X", "m"): "X->m",
+    ("X", "e"): "X->m e->m~inv",
+    ("X", "h"): "X->m h->m~inv",
+    ("X", "p"): "X->m p->m~inv",
+    ("X", "s"): "X->m s->m~inv",
+    ("X", "P"): "X->m P->m~inv",
+    ("X", "Q"): "X->m P->m~inv Q->P~inv",
+    ("X", "QP"): "X->m s->m~inv QP->s~inv",
+    ("X", "McdP"): "X->m McdP->m~inv",
+}
+
+
+def _route_table(S2, pairs):
+    return {
+        (frm, to): " ".join(e.key for e in S2._find_path(frm, to))
+        for frm, to in pairs
+    }
+
+
+def test_route_table_of_the_default_bases():
+    S2 = SymmetricFunctions()
+    names = [n for n, _ in S2.bases()]
+    pairs = list(itertools.permutations(names, 2))
+    assert len(pairs) == 72
+    assert _route_table(S2, pairs) == DEFAULT_ROUTES
+
+
+def test_route_table_with_explicit_edges_both_ways():
+    S2 = SymmetricFunctions()
+    S2.register_basis("X")
+    S2.declare_conversion("X", "m", lambda lam: S2.element("m", lam))
+    S2.declare_conversion("m", "X", lambda lam: 2 * S2.element("X", lam))
+    names = [n for n, _ in S2.bases()]
+    pairs = [p for p in itertools.permutations(names, 2) if "X" in p]
+    assert _route_table(S2, pairs) == BOTH_WAYS_ROUTES
+    # routes between the default bases do not change
+    assert _route_table(S2, DEFAULT_ROUTES) == DEFAULT_ROUTES
+
+
 def test_disconnected_basis_fails_at_conversion_time():
     S2 = SymmetricFunctions()
     S2.register_basis("island")

@@ -1,14 +1,24 @@
 """Tests for the expression language and the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qtsym
+from qtsym import exprs
 from qtsym.algebra import SymmetricFunctions
 from qtsym.cli import main
 from qtsym.coeffs import ONE, Q, T, Coeff
 from qtsym.errors import ExpressionError, PartitionError, UserInputError
 from qtsym.exprs import (
+    _Evaluator,
+    _parsed,
     coefficient_from_text,
     element_from_json,
     evaluate,
@@ -103,6 +113,69 @@ def test_evaluate_user_errors(S):
 def test_evaluate_element_power(S):
     assert evaluate(S, "p[2] ^ 2") == S.multiply(S["p"]([2]), S["p"]([2]))
     assert evaluate(S, "(s[1] + s[2]) ^ 0") == S["s"]()
+
+
+def assert_error_twice(call, message):
+    """The same message on the first call and on the repeat, which takes
+    its tree from the parse cache."""
+    for _ in range(2):
+        with pytest.raises(ExpressionError) as err:
+            call()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("1 2", "unexpected '2' at position 2"),
+        ("p[1] / p[1]", "cannot apply 'div' to these operands (in 'p[1] / p[1]')"),
+        (
+            "to_s(p[1], p[2])",
+            "to_s() takes exactly one argument (in 'to_s(p[1], p[2])')",
+        ),
+        (
+            "omega(p[1], p[2])",
+            "omega() takes exactly one argument (in 'omega(p[1], p[2])')",
+        ),
+    ],
+)
+def test_evaluate_error_messages(S, src, message):
+    assert_error_twice(lambda: evaluate(S, src), message)
+
+
+def test_evaluate_operator_on_a_coefficient(S):
+    # the coefficient is lifted to a degree-0 element first
+    for _ in range(2):
+        assert evaluate(S, "omega(2)") == S.one().scaled(Coeff.from_value(2))
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("p[2]", "only q, t and rationals are allowed here (in 'p[2]')"),
+        ("to_s(1)", "only q, t and rationals are allowed here (in 'to_s(1)')"),
+        (
+            "scalar(1, 2)",
+            "scalar() needs two symmetric function arguments (in 'scalar(1, 2)')",
+        ),
+    ],
+)
+def test_coefficient_from_text_rejects_non_coefficients(src, message):
+    assert_error_twice(lambda: coefficient_from_text(src), message)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"basis": "m"}, "element JSON needs 'basis' and 'terms' fields"),
+        (
+            {"basis": "m", "terms": [{"partition": [1]}]},
+            "each term needs 'partition' and 'coeff' fields",
+        ),
+    ],
+)
+def test_element_from_json_malformed(S, data, message):
+    assert_error_twice(lambda: element_from_json(S, data), message)
 
 
 def test_render_then_parse_round_trip(S):
@@ -303,6 +376,42 @@ def test_cli_eval_degree_at_bound_is_accepted(capsys):
         assert code == 0 and err == "" and out.strip() == want, src
 
 
+@pytest.mark.parametrize(
+    "expr, stdout",
+    [
+        (
+            "to_s(McdP[2,1,1])",
+            b"((t^3 - q*t^2 + t^2 - q*t + t - q)/(q*t^3 - 1))*s[1,1,1,1]"
+            b" + s[2,1,1]\n",
+        ),
+        (
+            "to_m(QP[3,2,1])",
+            b"(t^4 + 5*t^3 + 14*t^2 + 24*t + 16)*m[1,1,1,1,1,1]"
+            b" + (t^4 + 4*t^3 + 10*t^2 + 15*t + 8)*m[2,1,1,1,1]"
+            b" + (t^4 + 3*t^3 + 7*t^2 + 9*t + 4)*m[2,2,1,1]"
+            b" + (t^4 + 2*t^3 + 5*t^2 + 5*t + 2)*m[2,2,2]"
+            b" + (t^4 + 3*t^3 + 6*t^2 + 7*t + 2)*m[3,1,1,1]"
+            b" + (t^4 + 2*t^3 + 4*t^2 + 4*t + 1)*m[3,2,1]"
+            b" + (t^4 + t^3 + 2*t^2 + 2*t)*m[3,3]"
+            b" + (t^4 + 2*t^3 + 3*t^2 + 2*t)*m[4,1,1]"
+            b" + (t^4 + t^3 + 2*t^2 + t)*m[4,2]"
+            b" + (t^4 + t^3 + t^2)*m[5,1]"
+            b" + t^4*m[6]\n",
+        ),
+    ],
+)
+def test_cli_eval_exact_stdout_bytes(expr, stdout):
+    # the benchmark's cold `qtsym eval` runs, in a fresh interpreter
+    src = str(Path(qtsym.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "qtsym.cli", "eval", expr],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, stdout, b"")
+
+
 def test_eval_nesting_bound_and_long_chains(S):
     from qtsym.exprs import MAX_NESTING
 
@@ -472,3 +581,119 @@ def test_cli_registered_basis_usable_in_expressions():
     assert el == S.add(S["f"]([2, 1]), S["m"]([3]))
     back = evaluate(S, "to_f(to_m(f[2,1]))")
     assert back == S["f"]([2, 1])
+    # The tree of "f[2,1] + m[3]" is cached now.  A second registry first
+    # rejects it, then evaluates the same tree once it registers f too.
+    S2 = SymmetricFunctions()
+    assert_error_twice(
+        lambda: evaluate(S2, "f[2,1] + m[3]"), "unknown basis 'f' (in 'f[2,1]')"
+    )
+    S2.register_basis("f", "forgotten copy of e")
+    S2.declare_conversion(
+        "f", "m", lambda lam: S2.convert(S2.element("e", lam), "m")
+    )
+    hits = _parsed.cache_info().hits
+    assert evaluate(S2, "f[2,1] + m[3]") == S2.add(S2["f"]([2, 1]), S2["m"]([3]))
+    assert _parsed.cache_info().hits == hits + 1
+
+
+# ---------------------------------------------------------------------------
+# The parse-tree cache behind evaluate and coefficient_from_text
+
+_NAMES = ("m", "e", "h", "p", "s", "zz")
+
+
+def _binary(op, left, right):
+    """Source text and an upper bound on its degree."""
+    degree = left[1] + right[1] if op == "*" else max(left[1], right[1])
+    return f"{left[0]} {op} {right[0]}", degree
+
+
+def _call(name, args):
+    return f"{name}({', '.join(a[0] for a in args)})", max(a[1] for a in args)
+
+
+_ATOMS = st.one_of(
+    st.integers(0, 3).map(lambda n: (str(n), 0)),
+    st.sampled_from(["q", "t", "x"]).map(lambda v: (v, 0)),
+    st.builds(
+        lambda name, parts: (f"{name}[{','.join(map(str, parts))}]", sum(parts)),
+        st.sampled_from(_NAMES),
+        st.lists(st.integers(1, 2), max_size=2),
+    ),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds(_binary, st.sampled_from("+-*/"), inner, inner),
+        inner.map(lambda a: (f"-{a[0]}", a[1])),
+        inner.map(lambda a: (f"({a[0]})", a[1])),
+        st.builds(lambda a, n: (f"({a[0]})^{n}", a[1] * n), inner, st.integers(0, 2)),
+        st.builds(
+            _call,
+            st.sampled_from(["to_m", "to_s", "to_zz", "omega", "scalar", "zz"]),
+            st.lists(inner, min_size=1, max_size=2),
+        ),
+    )
+
+
+# grammatical texts up to degree 6, so no draw starts a long conversion
+_GRAMMATICAL = st.recursive(_ATOMS, _compound, max_leaves=4).filter(
+    lambda parts: parts[1] <= 6
+)
+
+
+@st.composite
+def _sources(draw):
+    """A grammatical text, or one with a character deleted or inserted."""
+    text, _ = draw(_GRAMMATICAL)
+    edit = draw(st.sampled_from(["none", "delete", "insert"]))
+    at = draw(st.integers(0, len(text)))
+    if edit == "delete":
+        return text[:at] + text[at + 1 :]
+    if edit == "insert":
+        return text[:at] + draw(st.sampled_from("+-*/^()[],0 x$")) + text[at:]
+    return text
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except ExpressionError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(src=_sources())
+def test_cached_trees_evaluate_like_fresh_parses(S, src):
+    first = _outcome(lambda: evaluate(S, src))
+    hits = _parsed.cache_info().hits
+    cached = _outcome(lambda: evaluate(S, src))
+    fresh = _outcome(lambda: _Evaluator(S, src, False).run(parse(src)))
+    assert cached == fresh == first
+    parses = _outcome(lambda: parse(src))[0] == "value"
+    assert _parsed.cache_info().hits == hits + parses
+    scalar = _outcome(lambda: coefficient_from_text(src))
+    fresh_scalar = _outcome(lambda: _Evaluator(None, src, True).run(parse(src)))
+    assert scalar == fresh_scalar
+
+
+def test_parse_cache_keeps_the_last_512_texts(monkeypatch):
+    _parsed.cache_clear()
+    for n in range(513):
+        assert coefficient_from_text(str(n)) == Coeff.from_value(n)
+    info = _parsed.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (512, 513, 0)
+    coefficient_from_text("512")
+    coefficient_from_text("0")  # the oldest text was dropped
+    info = _parsed.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (512, 514, 1)
+    # parse itself still builds a new tree each time
+    assert parse("q + t") is not parse("q + t")
+    assert _parsed("q + t") is _parsed("q + t")
+    # a miss goes through the module-level parse, which a tracer may replace
+    seen = []
+    monkeypatch.setattr(exprs, "parse", lambda src: seen.append(src) or parse(src))
+    coefficient_from_text("513")
+    coefficient_from_text("513")
+    assert seen == ["513"]
