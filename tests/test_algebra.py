@@ -770,11 +770,9 @@ def _route_table(S2, pairs):
 
 
 def test_route_table_of_the_default_bases():
-    S2 = SymmetricFunctions()
-    names = [n for n, _ in S2.bases()]
-    pairs = list(itertools.permutations(names, 2))
-    assert len(pairs) == 72
-    assert _route_table(S2, pairs) == DEFAULT_ROUTES
+    nine = (*CLASSICAL, "P", "Q", "QP", "McdP")
+    assert set(DEFAULT_ROUTES) == set(itertools.permutations(nine, 2))
+    assert _route_table(SymmetricFunctions(), DEFAULT_ROUTES) == DEFAULT_ROUTES
 
 
 def test_route_table_with_explicit_edges_both_ways():
