@@ -4,6 +4,8 @@ Subcommands: eval (expression language), partitions, tableaux, ribbons,
 rc, kostka, genkostka, llt, bases.  Every subcommand accepts
 ``--format text|json``.  Exit codes: 0 success, 1 user error (bad
 syntax, bad input, precondition violations), 2 internal failure.
+``partitions N`` lists at most N = MAX_PARTITIONS_N = 46 (105,558
+partitions, about 2 s); a larger N is a user error raised before listing.
 The ribbon, LLT and rigged-configuration modules are imported inside the
 subcommands that use them, so ``eval`` starts without loading them.
 """
@@ -20,6 +22,8 @@ from .errors import UserInputError
 from .exprs import evaluate, parse_partition_text
 from .partitions import Partition, partitions_of
 from .tableaux import charge, kostka_poly, ssyt
+
+MAX_PARTITIONS_N = 46
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -154,6 +158,10 @@ def _cmd_eval(args) -> None:
 def _cmd_partitions(args) -> None:
     if args.n < 0:
         raise UserInputError("partitions are indexed by nonnegative integers")
+    if args.n > MAX_PARTITIONS_N:
+        raise UserInputError(
+            f"partitions lists n <= {MAX_PARTITIONS_N}; n = {args.n} has too many"
+        )
     items = partitions_of(args.n)
     if args.format == "json":
         print(json.dumps([list(lam.parts) for lam in items]))

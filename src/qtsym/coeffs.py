@@ -2,15 +2,25 @@
 
 A coefficient is a quotient of two polynomials in the deformation
 parameters q and t with integer coefficients, held as the sparse dicts
-whose arithmetic and gcd live in `poly`.  Rational input is cleared of
-its denominators once, when a Coeff is built from it.  Every Coeff is
+whose arithmetic and gcd live in `poly`: `num` and `den` map one packed
+int per monomial to its coefficient.  The public interface speaks
+(eq, et) pairs and converts at its edges: the constructor, `from_value`,
+`from_t_poly`, `numerator_terms()`, `denominator_terms()`,
+`poly_terms()`, `substitute` and rendering.  Rational input is cleared
+of its denominators once, when a Coeff is built from it.  Every Coeff is
 kept in a canonical form:
 
 * numerator and denominator are coprime in Z[q,t]: they share no
   polynomial factor and no integer factor,
 * the denominator's leading coefficient is positive, where "leading" means
   the largest monomial in graded lexicographic order with t weighted above q,
+  which is the largest packed key,
 * a zero numerator forces denominator 1.
+
+Every exponent stays below `poly.EXP_LIMIT` = 2^19, which keeps packed
+keys exact.  The constructor and `from_t_poly` reject larger input, and
+products, powers, sums and `dot` raise CoefficientError when their result,
+or a numerator or denominator they form on the way, would reach it.
 
 The form is unique, so equality is a plain structural comparison and
 Coeff values can key dicts and land in sets.  `numerator_terms()` and
@@ -42,19 +52,23 @@ from math import lcm as _int_lcm
 from .errors import CoefficientError
 from .poly import (
     _ONE_POLY,
-    Monomial,
+    EXP_LIMIT,
     Poly,
-    _mono_key,
+    _pack,
     _poly_add,
     _poly_addmul,
     _poly_divexact,
+    _poly_exceeds,
     _poly_gcd,
     _poly_is_const,
     _poly_is_one,
-    _poly_lead,
     _poly_mul,
     _poly_neg,
+    _total_degree,
+    _unpack,
 )
+
+Monomial = tuple[int, int]
 
 
 def _make(num: Poly, den: Poly) -> "Coeff":
@@ -83,6 +97,16 @@ def _scaled(x: "Coeff", k: int) -> "Coeff":
     return _make({mono: c * k for mono, c in x.num.items()}, den)
 
 
+_LIMIT_MESSAGE = f"exponents of q and t must stay below {EXP_LIMIT}"
+
+
+def _bounded(num: Poly, den: Poly = _ONE_POLY) -> None:
+    """CoefficientError if a numerator or denominator that an operation
+    formed has an exponent of EXP_LIMIT or more."""
+    if _poly_exceeds(num) or _poly_exceeds(den):
+        raise CoefficientError(_LIMIT_MESSAGE)
+
+
 def _canonical(num: Poly, den: Poly, g: Poly) -> "Coeff":
     """num/den in canonical form, where g is gcd(num, den): divide g out
     and move the sign so that the denominator's leading coefficient is
@@ -94,22 +118,19 @@ def _canonical(num: Poly, den: Poly, g: Poly) -> "Coeff":
     if not _poly_is_one(g):
         num = _poly_divexact(num, g)
         den = _poly_divexact(den, g)
-    if den[_poly_lead(den)] < 0:
+    if den[max(den)] < 0:
         num = _poly_neg(num)
         den = _poly_neg(den)
     return _make(num, den)
 
 
-def _poly_render(
-    p: dict[Monomial, Fraction], qname: str = "q", tname: str = "t"
-) -> str:
+def _poly_render(p: dict[int, Fraction], qname: str = "q", tname: str = "t") -> str:
     if not p:
         return "0"
-    monos = sorted(p, key=_mono_key, reverse=True)
     parts: list[str] = []
-    for i, mono in enumerate(monos):
+    for i, mono in enumerate(sorted(p, reverse=True)):
         c = p[mono]
-        text = _mono_render(mono, abs(c), qname, tname)
+        text = _mono_render(_unpack(mono), abs(c), qname, tname)
         if i == 0:
             parts.append(text if c > 0 else "-" + text)
         else:
@@ -136,9 +157,9 @@ def _mono_render(mono: Monomial, c: Fraction, qname: str, tname: str) -> str:
 
 
 def _checked_terms(terms: dict) -> dict:
-    """terms with every exponent pair as two ints.  CoefficientError unless
-    each key is a pair of nonnegative integers, TypeError unless each value
-    is an int or a Fraction."""
+    """terms keyed by packed monomials.  CoefficientError unless each key
+    is a pair of nonnegative integers below EXP_LIMIT, TypeError unless
+    each value is an int or a Fraction."""
     out = {}
     for mono, c in terms.items():
         if not isinstance(c, (int, Fraction)):
@@ -149,8 +170,13 @@ def _checked_terms(terms: dict) -> dict:
             eq = et = -1
         if eq < 0 or et < 0:
             raise CoefficientError(f"exponent {mono!r} is not a pair of naturals")
-        out[eq, et] = c
+        if eq >= EXP_LIMIT or et >= EXP_LIMIT:
+            raise CoefficientError(_LIMIT_MESSAGE)
+        out[_pack(eq, et)] = c
     return out
+
+
+_UNIT_TERMS = {(0, 0): 1}
 
 
 class Coeff:
@@ -158,7 +184,7 @@ class Coeff:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: dict, den: dict = _ONE_POLY):
+    def __init__(self, num: dict, den: dict = _UNIT_TERMS):
         """num/den from dicts of int or Fraction coefficients, keyed by
         pairs (eq, et) of nonnegative integer exponents."""
         num, den = _checked_terms(num), _checked_terms(den)
@@ -179,13 +205,15 @@ class Coeff:
         if isinstance(value, (int, Fraction)):
             if not value:
                 return ZERO
-            return _make({(0, 0): value.numerator}, {(0, 0): value.denominator})
+            return _make({0: value.numerator}, {0: value.denominator})
         raise TypeError(f"cannot build a Q(q,t) coefficient from {value!r}")
 
     @classmethod
     def from_t_poly(cls, poly: dict[int, int]) -> "Coeff":
         """The integer polynomial sum of c t^e, given as {e: c}."""
-        return _make({(0, e): c for e, c in poly.items() if c}, _ONE_POLY)
+        if poly and max(poly) >= EXP_LIMIT:
+            raise CoefficientError(_LIMIT_MESSAGE)
+        return _make({_pack(0, e): c for e, c in poly.items() if c}, _ONE_POLY)
 
     @classmethod
     def var(cls, name: str) -> "Coeff":
@@ -231,13 +259,17 @@ class Coeff:
         g = _poly_gcd(da, db)
         if _poly_is_one(g):
             num = _poly_add(_poly_mul(self.num, db), _poly_mul(other.num, da))
-            return _canonical(num, _poly_mul(da, db), _ONE_POLY)
+            den = _poly_mul(da, db)
+            _bounded(num, den)
+            return _canonical(num, den, _ONE_POLY)
         da_red = _poly_divexact(da, g)
         db_red = _poly_divexact(db, g)
         num = _poly_add(_poly_mul(self.num, db_red), _poly_mul(other.num, da_red))
         if not num:
             return ZERO
-        return _canonical(num, _poly_mul(da, db_red), _poly_gcd(num, g))
+        den = _poly_mul(da, db_red)
+        _bounded(num, den)
+        return _canonical(num, den, _poly_gcd(num, g))
 
     __radd__ = __add__
 
@@ -264,11 +296,13 @@ class Coeff:
             return ZERO
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if _poly_is_one(d2) and _poly_is_const(n2):
-            return _scaled(self, n2[(0, 0)])
+            return _scaled(self, n2[0])
         if _poly_is_one(d1) and _poly_is_const(n1):
-            return _scaled(other, n1[(0, 0)])
+            return _scaled(other, n1[0])
         if _poly_is_one(d1) and _poly_is_one(d2):
-            return _make(_poly_mul(n1, n2), _ONE_POLY)
+            num = _poly_mul(n1, n2)
+            _bounded(num)
+            return _make(num, _ONE_POLY)
         # cross-reduce before multiplying to keep intermediates small
         g1 = _poly_gcd(n1, d2)
         if not _poly_is_one(g1):
@@ -276,7 +310,9 @@ class Coeff:
         g2 = _poly_gcd(n2, d1)
         if not _poly_is_one(g2):
             n2, d1 = _poly_divexact(n2, g2), _poly_divexact(d1, g2)
-        return _canonical(_poly_mul(n1, n2), _poly_mul(d1, d2), _ONE_POLY)
+        num, den = _poly_mul(n1, n2), _poly_mul(d1, d2)
+        _bounded(num, den)
+        return _canonical(num, den, _ONE_POLY)
 
     __rmul__ = __mul__
 
@@ -320,7 +356,7 @@ class Coeff:
     def __hash__(self) -> int:
         # constants compare equal to int and Fraction, so they hash alike
         if self._hash is None:
-            if self.num.keys() <= {(0, 0)} and _poly_is_const(self.den):
+            if self.num.keys() <= {0} and _poly_is_const(self.den):
                 self._hash = hash(self.as_fraction())
             else:
                 self._hash = hash(
@@ -351,31 +387,34 @@ class Coeff:
 
     # -- inspection and rendering ------------------------------------------
 
-    def _monic(self, p: Poly) -> dict[Monomial, Fraction]:
-        # p over the denominator's leading coefficient
-        lc = self.den[_poly_lead(self.den)]
+    def _monic(self, p: Poly) -> dict[int, Fraction]:
+        # p over the denominator's leading coefficient, still packed
+        lc = self.den[max(self.den)]
         return {mono: Fraction(c, lc) for mono, c in p.items()}
+
+    def _terms(self, p: Poly) -> dict[Monomial, Fraction]:
+        return {_unpack(mono): c for mono, c in self._monic(p).items()}
 
     def numerator_terms(self) -> dict[Monomial, Fraction]:
         """Numerator terms, for the denominator scaled to leading coeff 1."""
-        return self._monic(self.num)
+        return self._terms(self.num)
 
     def denominator_terms(self) -> dict[Monomial, Fraction]:
         """Denominator terms, scaled to leading coefficient 1."""
-        return self._monic(self.den)
+        return self._terms(self.den)
 
     def poly_terms(self) -> dict[Monomial, Fraction]:
         """The terms of a polynomial coefficient; error if truly fractional."""
         if not _poly_is_const(self.den):
             raise CoefficientError("coefficient is not a polynomial")
-        return self._monic(self.num)
+        return self._terms(self.num)
 
     def as_fraction(self) -> Fraction:
         """The rational value of a constant coefficient."""
         if not self.num:
             return Fraction(0)
-        if self.num.keys() == {(0, 0)} and _poly_is_const(self.den):
-            return Fraction(self.num[(0, 0)], self.den[(0, 0)])
+        if self.num.keys() == {0} and _poly_is_const(self.den):
+            return Fraction(self.num[0], self.den[0])
         raise CoefficientError("coefficient is not a rational constant")
 
     def is_single_term(self) -> bool:
@@ -383,12 +422,12 @@ class Coeff:
         return _poly_is_const(self.den) and len(self.num) <= 1
 
     def render(self, qname: str = "q", tname: str = "t") -> str:
-        num_text = _poly_render(self.numerator_terms(), qname, tname)
+        num_text = _poly_render(self._monic(self.num), qname, tname)
         if _poly_is_const(self.den):
             return num_text
         if len(self.num) > 1:
             num_text = f"({num_text})"
-        den_text = _poly_render(self.denominator_terms(), qname, tname)
+        den_text = _poly_render(self._monic(self.den), qname, tname)
         if len(self.den) > 1 or "*" in den_text:
             den_text = f"({den_text})"
         return f"{num_text}/{den_text}"
@@ -418,7 +457,8 @@ def _poly_eval(p: Poly, qv: Coeff, tv: Coeff) -> Coeff:
             cache[n] = power(cache, base, n - 1) * base
         return cache[n]
 
-    for (eq, et), c in p.items():
+    for mono, c in p.items():
+        eq, et = _unpack(mono)
         term = Coeff.from_value(c)
         if eq:
             term = term * power(q_pows, qv, eq)
@@ -444,7 +484,8 @@ def dot(pairs) -> Coeff:
     in place, and cancelled terms are dropped once at the end.  A
     denominator is taken as 1 by identity with the shared `_ONE_POLY`; an
     equal dict that is another object goes the cofactor way, to the same
-    result.
+    result.  A sum whose products come near EXP_LIMIT is also added one
+    product at a time, so that it raises exactly when that sum would.
     """
     terms = []
     for a, b in pairs:
@@ -466,7 +507,9 @@ def dot(pairs) -> Coeff:
         # None marks a cofactor of 1, which is never multiplied in
         top, cofactors = _ONE_POLY, [None] * len(terms)
     else:
-        top = max(terms, key=lambda term: max(eq + et for eq, et in term[2]))[2]
+        top = max(terms, key=lambda term: _total_degree(term[2]))[2]
+        if _total_degree(top) >= EXP_LIMIT:
+            return _running_sum(terms)
         lift = _int_lcm(*(_int_gcd(*den.values()) for _, _, den in terms))
         lift //= _int_gcd(*top.values())
         if lift > 1:
@@ -477,19 +520,30 @@ def dot(pairs) -> Coeff:
                 for _, _, den in terms
             ]
         except ArithmeticError:
-            return sum((a * b for a, b, _ in terms), ZERO)
+            return _running_sum(terms)
     num: Poly = {}
     for (a, b, _), cofactor in zip(terms, cofactors):
         if cofactor is None:
             _poly_addmul(num, a.num, b.num)
         else:
-            _poly_addmul(num, _poly_mul(a.num, b.num), cofactor)
+            product = _poly_mul(a.num, b.num)
+            # with both factors of total degree below EXP_LIMIT, no field
+            # of the triple product carries
+            if _total_degree(product) >= EXP_LIMIT:
+                return _running_sum(terms)
+            _poly_addmul(num, product, cofactor)
     num = {mono: c for mono, c in num.items() if c}
+    if _poly_exceeds(num):
+        return _running_sum(terms)
     g = _ONE_POLY if _poly_is_one(top) else _poly_gcd(num, top)
     return _canonical(num, top, g)
 
 
+def _running_sum(terms) -> Coeff:
+    return sum((a * b for a, b, _ in terms), ZERO)
+
+
 ZERO = _make({}, _ONE_POLY)
-ONE = _make({(0, 0): 1}, _ONE_POLY)
-Q = _make({(1, 0): 1}, _ONE_POLY)
-T = _make({(0, 1): 1}, _ONE_POLY)
+ONE = _make({0: 1}, _ONE_POLY)
+Q = _make({_pack(1, 0): 1}, _ONE_POLY)
+T = _make({_pack(0, 1): 1}, _ONE_POLY)

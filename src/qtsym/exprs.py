@@ -23,7 +23,9 @@ Symmetric functions are bounded at degree MAX_DEGREE = 12: a basis element
 literal, a product of elements or a power of an element whose degree would
 exceed it is an error raised before any computation starts, so a typo such
 as ``McdP[13]`` or ``s[7]*s[7]`` fails at once instead of starting a run
-whose cost grows steeply with the degree.
+whose cost grows steeply with the degree.  Exponents of q and t are
+bounded too: each stays below 2^19 (`poly.EXP_LIMIT`), and a power such as
+``t^600000`` is an error at that node.
 
 Each distinct source text is parsed once: ``evaluate`` and
 ``coefficient_from_text`` take their trees from an LRU cache of the last
@@ -286,14 +288,6 @@ class _Evaluator:
         lo, hi = node.span
         return ExpressionError(f"{message} (in '{self.src[lo:hi]}')")
 
-    def run(self, node: Node):
-        try:
-            return self.eval(node)
-        except ExpressionError:
-            raise
-        except QtSymError as exc:
-            raise self.fail(node, str(exc)) from exc
-
     def eval(self, node: Node):
         kind = node.kind
         if kind == "num":
@@ -311,11 +305,15 @@ class _Evaluator:
         if kind == "call":
             return self.eval_call(node)
         if kind == "neg":
+            # negation raises nothing, so an error below it keeps its node
             return -self.eval(node.children[0])
         if kind == "pow":
             base = self.eval(node.children[0])
             self.bound_degree(node, _degree(base) * node.value)
-            return base ** node.value
+            try:
+                return base ** node.value
+            except QtSymError as exc:
+                raise self.fail(node, str(exc)) from exc
         # a left-associative chain such as 1 + 2 + ... + n is as deep as it
         # is long, so walk its left spine in a loop instead of recursing
         spine = []
@@ -376,9 +374,9 @@ class _Evaluator:
             if len(args) != 1:
                 raise self.fail(node, f"{name}() takes exactly one argument")
             value = self.eval(args[0])
-            if isinstance(value, Coeff):
-                value = self.S.element(target, {Partition(): value})
             try:
+                if isinstance(value, Coeff):
+                    value = self.S.element(target, {Partition(): value})
                 return self.S.convert(value, target)
             except QtSymError as exc:
                 raise self.fail(node, str(exc)) from exc
@@ -408,13 +406,13 @@ def _degree(value) -> int:
 
 def evaluate(S: SymmetricFunctions, src: str):
     """Parse and evaluate; the result is an element or a coefficient."""
-    return _Evaluator(S, src, scalars_only=False).run(_parsed(src))
+    return _Evaluator(S, src, scalars_only=False).eval(_parsed(src))
 
 
 def coefficient_from_text(src: str) -> Coeff:
     """Evaluate text that must denote a plain Q(q,t) coefficient."""
     # a scalars_only evaluator rejects every element, so the value is a Coeff
-    return _Evaluator(None, src, scalars_only=True).run(_parsed(src))
+    return _Evaluator(None, src, scalars_only=True).eval(_parsed(src))
 
 
 def element_from_json(S: SymmetricFunctions, data) -> SymElement:

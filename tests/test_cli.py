@@ -143,6 +143,55 @@ def test_evaluate_error_messages(S, src, message):
     assert_error_twice(lambda: evaluate(S, src), message)
 
 
+def _island_registry() -> SymmetricFunctions:
+    S2 = SymmetricFunctions()
+    S2.register_basis("island")  # no edges: every conversion of it fails
+    return S2
+
+
+@pytest.mark.parametrize(
+    "src, node",
+    [
+        ("m[1] + island[1]^2", "island[1]^2"),
+        ("m[1] + -island[1]^2", "island[1]^2"),
+        ("m[1] * island[1]", "m[1] * island[1]"),
+    ],
+)
+def test_an_error_quotes_the_node_that_raised_it(src, node):
+    S2 = _island_registry()
+    message = f"no conversion route from 'island' to 'h' (in '{node}')"
+    assert_error_twice(lambda: evaluate(S2, src), message)
+
+
+def test_an_unknown_basis_in_a_conversion_of_a_coefficient(S):
+    assert_error_twice(
+        lambda: evaluate(S, "m[1] + to_zzz(2)"), "unknown basis 'zzz' (in 'to_zzz(2)')"
+    )
+
+
+@pytest.mark.parametrize(
+    "src, node",
+    [
+        ("t^600000", "t^600000"),
+        ("1 + t^600000", "t^600000"),
+        ("-t^600000", "t^600000"),
+        ("q^524288 / t", "q^524288"),
+    ],
+)
+def test_the_exponent_limit_is_quoted_at_its_power(S, src, node):
+    message = f"exponents of q and t must stay below 524288 (in '{node}')"
+    assert_error_twice(lambda: evaluate(S, src), message)
+    assert_error_twice(lambda: coefficient_from_text(src), message)
+
+
+def test_cli_eval_exponent_limit_is_a_user_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "t^600000")
+    assert (code, out) == (1, "")
+    assert err == "error: exponents of q and t must stay below 524288 (in 't^600000')\n"
+    code, out, err = run_cli(capsys, "eval", "t^524287")
+    assert (code, out, err) == (0, "t^524287\n", "")
+
+
 def test_evaluate_operator_on_a_coefficient(S):
     # the coefficient is lifted to a degree-0 element first
     for _ in range(2):
@@ -444,6 +493,35 @@ def test_cli_partitions(capsys):
     assert code == 1 and "error:" in err
 
 
+def _cli_subprocess(*argv: str, timeout: float) -> subprocess.CompletedProcess:
+    src = str(Path(qtsym.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qtsym.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+
+
+def test_cli_partitions_bound():
+    from qtsym.cli import MAX_PARTITIONS_N
+
+    # p(46) = 105,558 partitions; the bound lists them all
+    run = _cli_subprocess("partitions", str(MAX_PARTITIONS_N), timeout=60)
+    assert run.returncode == 0 and run.stderr == b""
+    lines = run.stdout.splitlines()
+    assert len(lines) == 105558
+    assert lines[0] == b"[46]" and lines[-1] == b"[" + b",".join([b"1"] * 46) + b"]"
+    # above it, the error comes before any listing
+    for n in (MAX_PARTITIONS_N + 1, 10**20):
+        run = _cli_subprocess("partitions", str(n), timeout=10)
+        assert run.returncode == 1 and run.stdout == b"", n
+        assert run.stderr == (
+            f"error: partitions lists n <= 46; n = {n} has too many\n".encode()
+        )
+
+
 def test_cli_partitions_json(capsys):
     code, out, _ = run_cli(capsys, "partitions", "3", "--format", "json")
     assert code == 0
@@ -669,12 +747,12 @@ def test_cached_trees_evaluate_like_fresh_parses(S, src):
     first = _outcome(lambda: evaluate(S, src))
     hits = _parsed.cache_info().hits
     cached = _outcome(lambda: evaluate(S, src))
-    fresh = _outcome(lambda: _Evaluator(S, src, False).run(parse(src)))
+    fresh = _outcome(lambda: _Evaluator(S, src, False).eval(parse(src)))
     assert cached == fresh == first
     parses = _outcome(lambda: parse(src))[0] == "value"
     assert _parsed.cache_info().hits == hits + parses
     scalar = _outcome(lambda: coefficient_from_text(src))
-    fresh_scalar = _outcome(lambda: _Evaluator(None, src, True).run(parse(src)))
+    fresh_scalar = _outcome(lambda: _Evaluator(None, src, True).eval(parse(src)))
     assert scalar == fresh_scalar
 
 

@@ -18,7 +18,8 @@ from qtsym.errors import CoefficientError
 from qtsym.poly import (
     _biv_heugcd,
     _int_strip_content,
-    _mono_key,
+    _pack,
+    _poly_add,
     _poly_divexact,
     _poly_gcd,
     _poly_mul,
@@ -26,7 +27,25 @@ from qtsym.poly import (
     _prs_gcd,
     _uni_divexact,
     _uni_gcd,
+    _unpack,
 )
+
+
+def _packed(terms: dict) -> dict:
+    """A {(eq, et): c} dict with its exponent pairs packed, as the kernel
+    and Coeff.num / Coeff.den hold it."""
+    return {_pack(eq, et): c for (eq, et), c in terms.items()}
+
+
+def _pairs(p: dict) -> dict:
+    """A packed dict with its keys unpacked to (eq, et) pairs again."""
+    return {_unpack(mono): c for mono, c in p.items()}
+
+
+def _mono_key(mono):
+    # graded lex with t more significant than q, on (eq, et) pairs
+    eq, et = mono
+    return (eq + et, et)
 
 
 def test_basic_identities():
@@ -232,7 +251,7 @@ def _int_poly(**monos) -> dict:
             else:
                 et += int(exp) if exp else 1
         out[(eq, et)] = val
-    return out
+    return _packed(out)
 
 
 def _same_up_to_sign(got: dict, want: dict) -> bool:
@@ -241,11 +260,11 @@ def _same_up_to_sign(got: dict, want: dict) -> bool:
 
 def _in_q(p: dict) -> dict:
     """A univariate {exponent: coeff} dict as a polynomial in q."""
-    return {(e, 0): c for e, c in p.items()}
+    return _packed({(e, 0): c for e, c in p.items()})
 
 
 def _uni_mul(a: dict, b: dict) -> dict:
-    return {eq: c for (eq, _), c in _poly_mul(_in_q(a), _in_q(b)).items()}
+    return {eq: c for (eq, _), c in _pairs(_poly_mul(_in_q(a), _in_q(b))).items()}
 
 
 F_COMMON = _int_poly(**{"1": 1, "q_t": 1, "t^2": 2})  # 1 + qt + 2t^2
@@ -274,9 +293,9 @@ def test_prs_gcd_keeps_t_content():
 
 
 def test_prs_gcd_of_coprime_inputs_is_one():
-    assert _same_up_to_sign(_prs_gcd(G_COPRIME, H_COPRIME), {(0, 0): 1})
+    assert _same_up_to_sign(_prs_gcd(G_COPRIME, H_COPRIME), _packed({(0, 0): 1}))
     assert _same_up_to_sign(
-        _prs_gcd(_poly_mul(G_COPRIME, G_COPRIME), H_COPRIME), {(0, 0): 1}
+        _prs_gcd(_poly_mul(G_COPRIME, G_COPRIME), H_COPRIME), _packed({(0, 0): 1})
     )
 
 
@@ -334,9 +353,9 @@ def test_prs_gcd_branches():
     # coprime inputs end on a nonzero remainder free of t, a constant once
     # its content is divided out
     got, steps = _prs_with_remainders(G_COPRIME, H_COPRIME)
-    assert got == {(0, 0): 1} or got == {(0, 0): -1}
+    assert got == _packed({(0, 0): 1}) or got == _packed({(0, 0): -1})
     v, last = steps[-1]
-    assert v == 1 and last and not any(et for _, et in last)
+    assert v == 1 and last and not any(et for _, et in _pairs(last))
 
 
 def test_bivariate_pseudo_remainder():
@@ -359,7 +378,7 @@ def test_univariate_pseudo_remainder():
 
 int_coeffs = st.integers(min_value=-3, max_value=3).filter(bool)
 int_polys = st.dictionaries(exponents, int_coeffs, min_size=1, max_size=4).map(
-    lambda d: {**d, (0, 0): d.get((0, 0), 0) or 1}
+    lambda d: _packed({**d, (0, 0): d.get((0, 0), 0) or 1})
 )
 
 
@@ -380,7 +399,7 @@ def _gcd_workload():
     """Coeff sums and products whose reduction needs a bivariate gcd of
     many-term polynomials, and the degree-4 McdP -> m matrix built on a
     fresh registry, all as (num, den) pairs."""
-    f, g, h = Coeff(F_COMMON), Coeff(G_COPRIME), Coeff(H_COPRIME)
+    f, g, h = (Coeff(_pairs(p)) for p in (F_COMMON, G_COPRIME, H_COPRIME))
     values = [
         f * g / (f * h),
         g / (1 - Q * T) + h / ((1 - Q * T) * f),
@@ -420,9 +439,9 @@ def test_heuristic_gcd_candidate_must_divide_both_inputs():
     # next point gives the true gcd
     assert _uni_gcd({1: 1, 0: 33}, {1: 1, 0: 1}) == {0: 1}
     assert _uni_gcd({1: 1, 0: 1}, {1: 1, 0: 33}) == {0: 1}
-    one_plus_q = {(0, 0): 1, (1, 0): 1}
-    f = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 33})
-    g = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 1})
+    one_plus_q = _packed({(0, 0): 1, (1, 0): 1})
+    f = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 33}))
+    g = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 1}))
     assert _biv_heugcd(f, g) == one_plus_q
     assert _biv_heugcd(g, f) == one_plus_q
 
@@ -517,7 +536,7 @@ def test_arithmetic_matches_sympy(a, b):
 
 
 def _kernel_polys(exps):
-    return st.dictionaries(exps, int_coeffs, min_size=1, max_size=4)
+    return st.dictionaries(exps, int_coeffs, min_size=1, max_size=4).map(_packed)
 
 
 _SMALL = st.integers(min_value=0, max_value=3)
@@ -546,10 +565,10 @@ def test_remainder_sequence_gcd_matches_sympy(variables, data):
         got = _poly_gcd(a, b)
 
     def expr(p):
-        return sum(c * q**eq * t**et for (eq, et), c in p.items())
+        return sum(c * q**eq * t**et for (eq, et), c in _pairs(p).items())
 
     want = sympy.Poly(sympy.gcd(expr(a), expr(b)), q, t).as_dict()
-    assert _same_up_to_sign(got, {mono: int(c) for mono, c in want.items()})
+    assert _same_up_to_sign(got, _packed({mono: int(c) for mono, c in want.items()}))
 
 
 def test_poly_kernel_imports_nothing_from_coeffs():
@@ -570,11 +589,11 @@ def _assert_canonical(c: Coeff):
     num, den = c.num, c.den
     assert all(type(v) is int for v in (*num.values(), *den.values()))
     if not num:
-        assert den == {(0, 0): 1}
+        assert den == _packed({(0, 0): 1})
         return
     assert gcd(*num.values(), *den.values()) == 1
-    assert _poly_gcd(num, den) == {(0, 0): 1}
-    assert den[max(den, key=_mono_key)] > 0
+    assert _poly_gcd(num, den) == _packed({(0, 0): 1})
+    assert den[_pack(*max(map(_unpack, den), key=_mono_key))] > 0
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -594,12 +613,12 @@ def test_arithmetic_lands_in_canonical_form(a, b, op):
 
 def test_constructor_clears_denominators_and_content():
     c = Coeff({(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
-    assert c.num == {(0, 0): 3, (0, 1): 2} and c.den == {(0, 0): 6}
+    assert c.num == _packed({(0, 0): 3, (0, 1): 2}) and c.den == _packed({(0, 0): 6})
     assert c == Fraction(1, 2) + Fraction(1, 3) * T
     # integer content shared by numerator and denominator cancels, and the
     # sign moves so that the denominator leads positive
     c = Coeff({(0, 0): 2, (1, 0): 4}, {(0, 1): -6})
-    assert c.num == {(0, 0): -1, (1, 0): -2} and c.den == {(0, 1): 3}
+    assert c.num == _packed({(0, 0): -1, (1, 0): -2}) and c.den == _packed({(0, 1): 3})
     _assert_canonical(c)
 
 
@@ -632,8 +651,8 @@ def test_render_goldens():
 def test_terms_are_the_monic_denominator_fraction_form():
     c = (Q + T) / (1 - Q * T) * 3 / 2
     # held over Z: -3(q + t) / (2qt - 2)
-    assert c.num == {(1, 0): -3, (0, 1): -3}
-    assert c.den == {(1, 1): 2, (0, 0): -2}
+    assert c.num == _packed({(1, 0): -3, (0, 1): -3})
+    assert c.den == _packed({(1, 1): 2, (0, 0): -2})
     num, den = c.numerator_terms(), c.denominator_terms()
     assert num == {(1, 0): Fraction(-3, 2), (0, 1): Fraction(-3, 2)}
     assert den == {(1, 1): Fraction(1), (0, 0): Fraction(-1)}
@@ -647,20 +666,22 @@ def test_terms_are_the_monic_denominator_fraction_form():
 
 
 def test_divexact_by_one_term_raises_when_inexact():
-    assert _poly_divexact({(2, 1): 6, (1, 1): -4}, {(1, 1): 2}) == {
-        (1, 0): 3,
-        (0, 0): -2,
-    }
+    assert _poly_divexact(
+        _packed({(2, 1): 6, (1, 1): -4}), _packed({(1, 1): 2})
+    ) == _packed({(1, 0): 3, (0, 0): -2})
     # an integer quotient that would be floored, and a negative exponent
     with pytest.raises(ArithmeticError):
-        _poly_divexact({(0, 0): 6}, {(0, 0): 4})
+        _poly_divexact(_packed({(0, 0): 6}), _packed({(0, 0): 4}))
     with pytest.raises(ArithmeticError):
-        _poly_divexact({(0, 0): 1}, {(1, 0): 1})
+        _poly_divexact(_packed({(0, 0): 1}), _packed({(1, 0): 1}))
     with pytest.raises(ArithmeticError):
-        _poly_divexact({(0, 0): 1, (1, 0): 1}, {(0, 1): 1})
+        _poly_divexact(_packed({(0, 0): 1, (1, 0): 1}), _packed({(0, 1): 1}))
+    # q^2 / t: the key difference is positive, but its t field borrowed
+    with pytest.raises(ArithmeticError):
+        _poly_divexact(_packed({(2, 0): 1}), _packed({(0, 1): 1}))
     # the many-term branch raises on the same kinds of input
     with pytest.raises(ArithmeticError):
-        _poly_divexact({(0, 0): 3, (1, 0): 3}, {(0, 0): 2, (1, 0): 2})
+        _poly_divexact(_packed({(0, 0): 3, (1, 0): 3}), _packed({(0, 0): 2, (1, 0): 2}))
 
 
 def test_dot_fixed_cases():
@@ -689,7 +710,7 @@ def test_dot_short_paths():
     assert got.num == want.num and got.den == want.den
     # every denominator 1: the numerators are added, cancelling terms drop
     got = dot([(1 + Q, 1 - Q), (Q * Q, ONE), (T, 3 * Q)])
-    assert got.num == {(0, 0): 1, (1, 1): 3} and got.den == {(0, 0): 1}
+    assert got.num == _packed({(0, 0): 1, (1, 1): 3}) and got.den == _packed({(0, 0): 1})
     cancelled = dot([(Q, T), (-T, Q)])
     assert cancelled == ZERO
     _assert_canonical(cancelled)
@@ -738,7 +759,7 @@ def built_entries():
 def test_integer_factor_short_path_is_canonical(built_entries, k):
     assert any(len(e.den) > 1 for e in built_entries)
     for e in built_entries:
-        want = Coeff({mono: k * c for mono, c in e.num.items()}, e.den)
+        want = Coeff({mono: k * c for mono, c in _pairs(e.num).items()}, _pairs(e.den))
         for got in (e * k, k * e, e * Coeff.from_value(k), Coeff.from_value(k) * e):
             assert got.num == want.num and got.den == want.den
             assert hash(got) == hash(want)
@@ -747,17 +768,18 @@ def test_integer_factor_short_path_is_canonical(built_entries, k):
 
 def test_integer_factor_sharing_content_with_the_denominator():
     got = 2 * (ONE / (2 + 2 * Q))
-    assert got.num == {(0, 0): 1} and got.den == {(0, 0): 1, (1, 0): 1}
+    assert got.num == _packed({(0, 0): 1}) and got.den == _packed({(0, 0): 1, (1, 0): 1})
     got = 4 * (Q / 6)
-    assert got.num == {(1, 0): 2} and got.den == {(0, 0): 3}
+    assert got.num == _packed({(1, 0): 2}) and got.den == _packed({(0, 0): 3})
     assert got == Q * Fraction(2, 3)
     assert ONE * (Q / 6) == Q / 6 and (-1) * (Q / 6) == -Q / 6
 
 
 def test_poly_gcd_with_a_unit_argument():
+    one = _packed({(0, 0): 1})
     for other in ({(0, 0): 1}, {(2, 1): 6}, {(0, 0): 4, (1, 3): -2}):
-        assert _poly_gcd({(0, 0): 1}, other) == {(0, 0): 1}
-        assert _poly_gcd(other, {(0, 0): 1}) == {(0, 0): 1}
+        assert _poly_gcd(one, _packed(other)) == one
+        assert _poly_gcd(_packed(other), one) == one
 
 
 # -- dot adds in place: every path equals the running Coeff sum, in num,
@@ -831,8 +853,8 @@ def test_dot_paths_equal_the_running_sum(monkeypatch, path, cancel):
 def test_dot_with_a_unit_denominator_that_is_not_the_shared_one():
     a = copy.deepcopy(1 + Q)
     b = copy.deepcopy(3 * T)
-    assert a.den == {(0, 0): 1} and a.den is not coeffs._ONE_POLY
-    assert b.den == {(0, 0): 1} and b.den is not coeffs._ONE_POLY
+    assert a.den == _packed({(0, 0): 1}) and a.den is not coeffs._ONE_POLY
+    assert b.den == _packed({(0, 0): 1}) and b.den is not coeffs._ONE_POLY
     # all units, one shared unit among copies, and copies beside real
     # denominators
     _assert_dot_is_running_sum([(a, b), (b, a), (Q, T)])
@@ -866,18 +888,18 @@ def test_uni_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
 
 
 def test_biv_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
-    f = {(1, 0): 1, (0, 1): 1, (0, 0): 2}
-    g = {(1, 0): 1, (0, 1): 1, (0, 0): 3}
+    f = _packed({(1, 0): 1, (0, 1): 1, (0, 0): 2})
+    g = _packed({(1, 0): 1, (0, 1): 1, (0, 0): 3})
     want = _biv_heugcd(f, g)
-    assert want == {(0, 0): 1}
+    assert want == _packed({(0, 0): 1})
     _no_division(monkeypatch)
     assert _biv_heugcd(f, g) == want
     # a lifted -1 keeps its sign, as the two divisions by -1 would
-    monkeypatch.setattr(poly, "_biv_lift_t", lambda image, x: {(0, 0): -1})
-    assert _biv_heugcd(f, g) == {(0, 0): -1}
+    monkeypatch.setattr(poly, "_biv_lift_t", lambda image, x: _packed({(0, 0): -1}))
+    assert _biv_heugcd(f, g) == _packed({(0, 0): -1})
     # and _poly_gcd turns the sign into a positive gcd
     monkeypatch.setattr(poly, "_GCD_CACHE", {})
-    assert _poly_gcd(f, g) == {(0, 0): 1}
+    assert _poly_gcd(f, g) == _packed({(0, 0): 1})
 
 
 def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
@@ -899,8 +921,172 @@ def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
     g = _uni_mul({1: 1, 0: 1}, {1: 2, 0: -3})
     assert poly._uni_heugcd(f, g) == {1: 1, 0: 1}
     assert len(uni_calls) == 2
-    one_plus_q = {(0, 0): 1, (1, 0): 1}
-    f = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 2})
-    g = _poly_mul(one_plus_q, {(0, 1): 1, (0, 0): 3})
+    one_plus_q = _packed({(0, 0): 1, (1, 0): 1})
+    f = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 2}))
+    g = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 3}))
     assert _biv_heugcd(f, g) == one_plus_q
     assert len(biv_calls) == 2
+
+
+# -- the packed-monomial kernel: a key per monomial, a dense and a sparse
+# exact division, and the exponent limit that keeps keys exact
+
+
+_EXPONENTS_BELOW_LIMIT = st.integers(min_value=0, max_value=poly.EXP_LIMIT - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_EXPONENTS_BELOW_LIMIT, _EXPONENTS_BELOW_LIMIT), min_size=1))
+def test_packed_keys_order_like_the_graded_key(pairs):
+    keys = [_pack(eq, et) for eq, et in pairs]
+    assert [_unpack(key) for key in keys] == pairs
+    assert max(keys) == _pack(*max(pairs, key=_mono_key))
+    # a product of monomials is a sum of keys
+    (aq, at), (bq, bt) = pairs[0], pairs[-1]
+    assert _unpack(keys[0] + keys[-1]) == (aq + bq, at + bt)
+
+
+def _divexact_in(branch, a, b):
+    """_poly_divexact forced down its dense or its sparse branch: the
+    quotient, or None when it raises ArithmeticError."""
+    with pytest.MonkeyPatch.context() as mp:
+        if branch == "dense":
+            mp.setattr(poly, "_DENSE_MIN_TERMS", 0)
+            mp.setattr(poly, "_DENSE_FILL", float("inf"))
+        else:
+            mp.setattr(poly, "_DENSE_MIN_TERMS", float("inf"))
+        try:
+            return _poly_divexact(a, b)
+        except ArithmeticError:
+            return None
+
+
+_DIVISION_EXPONENTS = st.tuples(
+    st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)
+)
+division_polys = st.dictionaries(_DIVISION_EXPONENTS, int_coeffs, min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_polys, division_polys, division_polys)
+def test_dense_and_sparse_division_agree(f, g, extra):
+    f, g = _packed(f), _packed(g)
+    assume(len(g) > 1)
+    a = _poly_mul(f, g)
+    assert _divexact_in("dense", a, g) == _divexact_in("sparse", a, g) == f
+    # with other terms added the division is mostly inexact; both branches
+    # raise on the same inputs, and agree on the quotient otherwise
+    b = _poly_add(a, _packed(extra))
+    got = _divexact_in("dense", b, g)
+    assert got == _divexact_in("sparse", b, g)
+    if got is not None:
+        assert _poly_mul(got, g) == b
+
+
+@pytest.mark.parametrize("branch", ["dense", "sparse"])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # a coefficient the divisor's leading coefficient does not divide
+        ({(0, 0): 3, (1, 0): 3}, {(0, 0): 2, (1, 0): 2}),
+        # a negative quotient exponent: q for q^2, t for q*t
+        ({(0, 0): 1, (1, 0): 1}, {(2, 0): 1, (0, 0): 1}),
+        ({(1, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 0): 1}),
+        ({(2, 0): 1, (0, 1): 1}, {(1, 1): 1, (0, 0): 1}),
+        # q^3 + q^2 by t + 1: the sparse quotient q^3 / t borrows in its t
+        # field (the dense branch finds more t in b than a row holds)
+        ({(3, 0): 1, (2, 0): 1}, {(0, 1): 1, (0, 0): 1}),
+        # q*t^2 + q by q + t: the dense quotient term t^2 would shift t in
+        # q + t to t^3, past the last column (dt + deg_t(b) >= W), where
+        # it would land on q and cancel it
+        ({(1, 2): 1, (1, 0): 1}, {(1, 0): 1, (0, 1): 1}),
+        # a divisor of higher degree in t than the dividend
+        ({(1, 0): 1, (0, 0): 1}, {(0, 1): 1, (0, 0): 1}),
+    ],
+    ids=[
+        "coefficient",
+        "negative-q",
+        "negative-t",
+        "negative-t-dense-row",
+        "t-borrow",
+        "past-width",
+        "deg-t",
+    ],
+)
+def test_both_division_branches_raise_when_inexact(branch, a, b):
+    assert _divexact_in(branch, _packed(a), _packed(b)) is None
+
+
+def test_division_branch_by_size(monkeypatch):
+    calls = []
+    dense = poly._dense_divexact
+    monkeypatch.setattr(
+        poly, "_dense_divexact", lambda *args: calls.append(1) or dense(*args)
+    )
+    f = _packed({(i, j): 1 for i in range(6) for j in range(6)})
+    g = _packed({(0, 0): 1, (1, 1): 1})
+    # (1 + qt) times 36 terms: 47 terms in a 7 x 7 array go dense
+    assert _poly_divexact(_poly_mul(f, g), g) == f and len(calls) == 1
+    # with q t^400 in the divisor, 72 terms would need 7 x 406 entries
+    g = _packed({(0, 0): 1, (1, 400): 1})
+    assert _poly_divexact(_poly_mul(f, g), g) == f and len(calls) == 1
+    # few terms stay sparse
+    assert _poly_divexact(_packed({(1, 0): 1, (0, 0): 1}), _packed({(1, 0): 1, (0, 0): 1}))
+    assert len(calls) == 1
+
+
+_LIMIT = poly.EXP_LIMIT
+_HALF = _LIMIT // 2
+
+
+def test_exponent_limit_in_the_constructor():
+    assert Coeff({(_LIMIT - 1, 0): 1}) == Q ** (_LIMIT - 1)
+    for mono in ((_LIMIT, 0), (0, _LIMIT), (10**30, 1)):
+        with pytest.raises(CoefficientError, match="must stay below 524288"):
+            Coeff({mono: 1})
+        with pytest.raises(CoefficientError, match="must stay below 524288"):
+            Coeff({(0, 0): 1}, {mono: 2})
+    with pytest.raises(CoefficientError, match="must stay below 524288"):
+        Coeff.from_t_poly({_LIMIT: 1})
+    assert Coeff.from_t_poly({_LIMIT - 1: 2}) == 2 * T ** (_LIMIT - 1)
+
+
+def test_exponent_limit_in_products_and_powers():
+    with pytest.raises(CoefficientError):
+        T**_HALF * T**_HALF
+    with pytest.raises(CoefficientError):
+        (ONE / T**_HALF) * (ONE / T**_HALF)
+    with pytest.raises(CoefficientError):
+        T**_LIMIT
+    with pytest.raises(CoefficientError):
+        (ONE / Q) ** _LIMIT
+    # every exponent below the limit, though the total degree is not
+    assert str(Q**_HALF * T**_HALF) == "q^262144*t^262144"
+    assert str(T ** (_LIMIT - 1) / Q ** (_LIMIT - 1)) == "t^524287/q^524287"
+    # the common denominator q^a * (1 + q^a t) has q^(2a)
+    with pytest.raises(CoefficientError):
+        ONE / Q**_HALF + ONE / (1 + Q**_HALF * T)
+    a = _HALF - 1
+    got = ONE / Q**a + ONE / (1 + Q**a * T)
+    assert got * Q**a * (1 + Q**a * T) == 1 + Q**a * T + Q**a
+
+
+def test_dot_near_the_exponent_limit_is_the_running_sum():
+    # the largest raw denominator, q^a t^a, has total degree 2^19
+    _assert_dot_is_running_sum([(ONE / Q**_HALF, ONE / T**_HALF), (ONE, ONE)])
+    # q^a * t^a times the cofactor q could carry between fields
+    _assert_dot_is_running_sum([(Q**_HALF, T**_HALF / Q), (ONE / Q**2, ONE)])
+    # a sum past the limit raises from dot as from the running sum
+    pairs = [(ONE / Q**_HALF, ONE), (ONE, ONE / (1 + Q**_HALF * T))]
+    with pytest.raises(CoefficientError):
+        dot(pairs)
+    with pytest.raises(CoefficientError):
+        sum((a * b for a, b in pairs), ZERO)
+
+
+def test_poly_exceeds_reads_each_exponent():
+    assert not poly._poly_exceeds({})
+    assert not poly._poly_exceeds(_packed({(_LIMIT - 1, _LIMIT - 1): 1, (0, 0): 1}))
+    assert poly._poly_exceeds(_packed({(_LIMIT, 0): 1, (0, 0): 1}))
+    assert poly._poly_exceeds(_packed({(0, _LIMIT): 1}))
+    assert poly._poly_exceeds(_packed({(_LIMIT - 1, _LIMIT - 1): 1, (0, _LIMIT): 1}))
