@@ -45,6 +45,7 @@ path, with the same result.
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
@@ -150,10 +151,24 @@ def _mono_render(mono: Monomial, c: Fraction, qname: str, tname: str) -> str:
     elif et > 1:
         pieces.append(f"{tname}^{et}")
     if not pieces:
-        return str(c)
+        return _number_text(c)
     if c != 1:
-        pieces.insert(0, str(c))
+        pieces.insert(0, _number_text(c))
     return "*".join(pieces)
+
+
+def _number_text(c: Fraction) -> str:
+    """str(c) for c >= 0; CoefficientError when its numerator or
+    denominator has more digits than Python converts to text."""
+    # 0 for no limit, as before Python 3.10.7 had one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = max(c.numerator, c.denominator)
+    # fewer than 3 * limit bits is fewer than limit digits
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise CoefficientError(
+            f"a coefficient has more than {limit} digits, too many to print"
+        )
+    return str(c)
 
 
 def _checked_terms(terms: dict) -> dict:

@@ -13,12 +13,12 @@ next; and in the difference of two keys an exponent that went negative
 sets bit 19 of its field (a bit of `_BORROW`).  `coeffs` keeps every
 Coeff within the limit; the kernel does not check it.
 
-A polynomial in Z[q,t] is a dict mapping a packed key to a nonzero int,
-one in Z[q] a dict mapping an exponent to a nonzero int.  Exact division
-raises ArithmeticError when it is not exact.  `_poly_gcd` splits off the
-integer and monomial contents, tries the heuristic GCD in t over images
-in Z[q], and only when that gives up runs the one primitive remainder
-sequence, `_prs_gcd`.  A gcd with 1 as either argument is 1.
+A polynomial in Z[q,t] is a dict mapping a packed key to a nonzero int.
+Exact division raises ArithmeticError when it is not exact.  `_poly_gcd`
+splits off the integer and monomial contents and runs one heuristic GCD
+recursively: evaluating t gives images in Z[q], whose gcd evaluates q to
+integers.  When it gives up, at either level, the primitive remainder
+sequence `_prs_gcd` runs.  A gcd with 1 as either argument is 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import reduce
 from math import gcd as _int_gcd
 
 Poly = dict[int, int]
-UniPoly = dict[int, int]  # univariate integer polynomial, exponent -> coeff
 
 _E = 20
 _MASK = (1 << _E) - 1
@@ -199,47 +198,23 @@ def _dense_divexact(a: Poly, b: Poly, width: int, size: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# GCD.  The heuristic GCDs decide what the engine builds in practice;
-# `_prs_gcd`, over the Z[q,t] dicts, is the fallback that makes them total.
+# GCD.  `_gcd` splits off the integer and monomial contents; the primitive
+# parts go to the heuristic GCD and, when it gives up, to `_prs_gcd`.
+# `_poly_gcd` is `_gcd` behind a cache.
 
 
-def _uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """GCD of nonzero integer univariate polynomials, primitive with
-    positive lead: the heuristic evaluation GCD, or on its failure the
-    primitive remainder sequence on the same polynomials as dicts in q."""
-    f, g = _uni_primitive(a), _uni_primitive(b)
-    if max(f) < max(g):
-        f, g = g, f
-    if max(g) == 0:
-        return {0: 1}
-    if f == g:
-        return f
-    fast = _uni_heugcd(f, g)
-    if fast is not None:
-        return fast
-    core = _prs_gcd(
-        {e * _Q: c for e, c in f.items()}, {e * _Q: c for e, c in g.items()}
-    )
-    return _uni_primitive({mono & _MASK: c for mono, c in core.items()})
+# -- heuristic GCD (GCDHEU, Char-Geddes-Gonnet 1989), recursive over the
+# variables: substitute a large integer x for the main variable v (t, then
+# q one level down), take the gcd of the images (in Z[q] by `_gcd`, in Z by
+# math.gcd), lift its balanced base-x digits back to powers of v, and
+# accept the primitive part of that candidate only if _poly_divexact
+# divides both inputs by it.  Sound because a verified candidate cannot be
+# a proper divisor of the true GCD once x outgrows the coefficients.  An
+# image has about deg * bits(x) bits, whatever the number of terms, so the
+# heuristic gives up past _HEU_BITS (q^a t^b with a, b near 2^18 would make
+# images of a million bits), as well as after six points.
 
-
-def _uni_primitive(p: UniPoly) -> UniPoly:
-    if not p:
-        return {}
-    g = _int_gcd(*p.values())
-    if p[max(p)] < 0:
-        g = -g
-    return {e: c // g for e, c in p.items()}
-
-
-# -- heuristic GCD (GCDHEU, Char-Geddes-Gonnet 1989): evaluate at a large
-# integer, take the integer GCD, lift the digits back to a polynomial, and
-# accept the candidate only if _uni_divexact (_poly_divexact in two
-# variables) divides both inputs by it without raising.
-# Sound because a verified candidate reconstructed from gcd(f(x), g(x))
-# cannot be a proper divisor of the true GCD once x outgrows the
-# coefficients; on repeated failure callers fall back to the primitive
-# remainder sequence.
+_HEU_BITS = 1 << 14
 
 
 def _balanced_digits(n: int, x: int) -> list[int]:
@@ -255,60 +230,25 @@ def _balanced_digits(n: int, x: int) -> list[int]:
     return digits
 
 
-def _uni_eval(p: UniPoly, x: int) -> int:
-    return sum(c * x**e for e, c in p.items())
-
-
-def _uni_divexact(a: UniPoly, d: UniPoly) -> UniPoly:
-    """The quotient of a by d in Z[q]; ArithmeticError unless d divides a
-    exactly."""
-    quot: UniPoly = {}
-    rem = dict(a)
-    top = max(d)
-    lead = d[top]
-    while rem:
-        e = max(rem)
-        c, r = divmod(rem[e], lead)
-        if e < top or r:
-            raise ArithmeticError("inexact polynomial division")
-        shift = e - top
-        quot[shift] = c
-        for ed, cd in d.items():
-            tgt = ed + shift
-            s = rem.get(tgt, 0) - c * cd
-            if s:
-                rem[tgt] = s
-            else:
-                rem.pop(tgt, None)
-    return quot
-
-
-def _uni_heugcd(f: UniPoly, g: UniPoly) -> UniPoly | None:
-    """Heuristic GCD of primitive integer polynomials, or None.
-
-    A candidate that lifts to a constant is primitive, so it is 1 and is
-    returned without trial division."""
-    norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
-    x = 2 * norm + 29
-    for _ in range(6):
-        fv, gv = _uni_eval(f, x), _uni_eval(g, x)
-        if fv and gv:
-            image = _int_gcd(fv, gv)
-            cand = {
-                e: d for e, d in enumerate(_balanced_digits(image, x)) if d
-            }
-            cand = _uni_primitive(cand)
-            if len(cand) == 1 and 0 in cand:
-                return cand  # a unit divides both, so needs no trial division
-            if cand:
-                try:
-                    _uni_divexact(f, cand)
-                    _uni_divexact(g, cand)
-                    return cand
-                except ArithmeticError:
-                    pass
-        x = x * 73794 // 27011 + 47
-    return None
+def _image(p: Poly, x: int, v: int) -> Poly | int:
+    """p with the integer x substituted for v: a polynomial in q when v is
+    t (v = 1), an integer when v is q (v = 0) and p is free of t."""
+    if not v:
+        return sum(c * x ** (mono & _MASK) for mono, c in p.items())
+    powers: dict[int, int] = {0: 1}
+    out: Poly = {}
+    for mono, c in p.items():
+        et = mono >> _E & _MASK
+        xe = powers.get(et)
+        if xe is None:
+            xe = powers[et] = x**et
+        mono -= et * _T
+        s = out.get(mono, 0) + c * xe
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+    return out
 
 
 def _int_strip_content(p: Poly) -> Poly:
@@ -318,61 +258,37 @@ def _int_strip_content(p: Poly) -> Poly:
     return p
 
 
-def _biv_eval_t(p: Poly, x: int) -> UniPoly:
-    """Substitute the integer x for t, leaving a polynomial in q."""
-    powers: dict[int, int] = {0: 1}
-    out: UniPoly = {}
-    for mono, c in p.items():
-        eq, et = mono & _MASK, mono >> _E & _MASK
-        xe = powers.get(et)
-        if xe is None:
-            xe = x**et
-            powers[et] = xe
-        s = out.get(eq, 0) + c * xe
-        if s:
-            out[eq] = s
-        else:
-            out.pop(eq, None)
-    return out
-
-
-def _biv_lift_t(image: UniPoly, x: int) -> Poly:
-    """Rebuild t-coefficients from the balanced base-x digits of each
-    q-coefficient."""
-    out: Poly = {}
-    for eq, value in image.items():
-        for et, d in enumerate(_balanced_digits(value, x)):
-            if d:
-                out[eq * _Q + et * _T] = d
-    return out
-
-
-def _biv_heugcd(f: Poly, g: Poly) -> Poly | None:
-    """Heuristic GCD of primitive integer bivariate polynomials, or None.
+def _heugcd(f: Poly, g: Poly, v: int) -> Poly | None:
+    """The gcd of nonzero primitive f and g, up to sign, by the heuristic
+    in v (1 for t; 0 for q, when f and g are free of t), or None when it
+    gives up.
 
     A candidate that lifts to a constant is +1 or -1 once its content is
     stripped, and is returned as it is, without trial division."""
-    norm = min(max(abs(c) for c in f.values()), max(abs(c) for c in g.values()))
-    x = 2 * norm + 29
+    # the total degree bounds deg_v, and is deg_q for polynomials free of t
+    deg = max(_total_degree(f), _total_degree(g))
+    unit = _T if v else _Q
+    x = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(6):
-        fi, gi = _biv_eval_t(f, x), _biv_eval_t(g, x)
+        if deg * x.bit_length() > _HEU_BITS:
+            return None
+        fi, gi = _image(f, x, v), _image(g, x, v)
         if fi and gi:
-            # the integer content of the images encodes any t-only factors
-            # of the GCD, so it must be folded back in before lifting
-            cont = _int_gcd(*fi.values(), *gi.values())
-            image = _uni_gcd(fi, gi)
-            if cont > 1:
-                image = {e: c * cont for e, c in image.items()}
-            cand = _int_strip_content(_biv_lift_t(image, x))
-            if len(cand) == 1 and 0 in cand:
+            image = _gcd(fi, gi, 0) if v else {0: _int_gcd(fi, gi)}
+            cand: Poly = {}
+            for mono, n in image.items():
+                for e, d in enumerate(_balanced_digits(n, x)):
+                    if d:
+                        cand[mono + e * unit] = d
+            cand = _int_strip_content(cand)
+            if _poly_is_const(cand):
                 return cand  # a unit divides both, so needs no trial division
-            if cand:
-                try:
-                    _poly_divexact(f, cand)
-                    _poly_divexact(g, cand)
-                    return cand
-                except ArithmeticError:
-                    pass
+            try:
+                _poly_divexact(f, cand)
+                _poly_divexact(g, cand)
+                return cand
+            except ArithmeticError:
+                pass
         x = x * 73794 // 27011 + 47
     return None
 
@@ -439,45 +355,62 @@ _GCD_CACHE_LIMIT = 50000
 
 
 def _monomial_content(p: Poly) -> int:
-    """The largest monomial that divides every term of nonzero p."""
+    """The largest monomial that divides every term of nonzero p, a
+    collection of keys; 0 at once when p holds the key 0."""
+    if 0 in p:
+        return 0
     eq = min(mono & _MASK for mono in p)
     return eq * _Q + min(mono >> _E & _MASK for mono in p) * _T
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD in Z[q,t] of nonzero polynomials, with a positive leading
-    coefficient: the gcd of the integer contents times the gcd of the
-    primitive parts.  Callers must not mutate the result, which may be
-    shared through the cache, keyed on the inputs as flat tuples."""
-    if not a or not b:
-        return {}
-    if _poly_is_one(a) or _poly_is_one(b):
-        return _ONE_POLY
+def _gcd(a: Poly, b: Poly, v: int) -> Poly:
+    """GCD in Z[q,t] of nonzero a and b, with a positive leading
+    coefficient: the gcd of the integer and monomial contents times the gcd
+    of the primitive parts, by `_heugcd` in v (as there) or else by the
+    remainder sequence.  A gcd with 1 as either argument is 1.  The result
+    may be a or b itself."""
     if len(a) == 1 or len(b) == 1:
+        if _poly_is_one(a) or _poly_is_one(b):
+            return _ONE_POLY
         # a monomial factor: componentwise minimum exponents
         mono = _monomial_content(a.keys() | b.keys())
         c = _int_gcd(*a.values(), *b.values())
         return _ONE_POLY if c == 1 and not mono else {mono: c}
-    fa, fb = _flat(a), _flat(b)
-    key = (fa, fb) if fa <= fb else (fb, fa)
-    cached = _GCD_CACHE.get(key)
-    if cached is not None:
-        return cached
     ma, mb = _monomial_content(a), _monomial_content(b)
     ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
-    ia = {mono - ma: c // ca for mono, c in a.items()}
-    ib = {mono - mb: c // cb for mono, c in b.items()}
+    ia = a if not ma and ca == 1 else {mono - ma: c // ca for mono, c in a.items()}
+    ib = b if not mb and cb == 1 else {mono - mb: c // cb for mono, c in b.items()}
     if ia == ib:
         core = ia
     else:
-        core = _biv_heugcd(ia, ib)
+        core = _heugcd(ia, ib, v)
         if core is None:
             core = _prs_gcd(ia, ib)
     scale = _int_gcd(ca, cb)
     if core[max(core)] < 0:
         scale = -scale
     shift = _monomial_content((ma, mb))
-    out = {mono + shift: c * scale for mono, c in core.items()}
+    if scale == 1 and not shift:
+        return core
+    return {mono + shift: c * scale for mono, c in core.items()}
+
+
+def _poly_gcd(a: Poly, b: Poly) -> Poly:
+    """`_gcd` of any a and b in Z[q,t], {} when either is zero.  Callers
+    must not mutate the result, which may be an input or shared through the
+    cache, keyed on inputs of two terms or more as flat tuples.  Only these
+    calls and the remainder sequence's contents use the cache: the
+    heuristic's images, which never repeat, go to `_gcd` directly."""
+    if not a or not b:
+        return {}
+    if len(a) == 1 or len(b) == 1:
+        return _gcd(a, b, 1)
+    fa, fb = _flat(a), _flat(b)
+    key = (fa, fb) if fa <= fb else (fb, fa)
+    cached = _GCD_CACHE.get(key)
+    if cached is not None:
+        return cached
+    out = _gcd(a, b, 1)
     if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
         _GCD_CACHE.clear()
     _GCD_CACHE[key] = out

@@ -192,6 +192,15 @@ def test_cli_eval_exponent_limit_is_a_user_error(capsys):
     assert (code, out, err) == (0, "t^524287\n", "")
 
 
+@pytest.mark.parametrize("src", ["2^20000", "(1/3)^20000", "to_s(2^20000*s[1])"])
+def test_cli_eval_of_a_number_too_long_to_print_is_a_user_error(capsys, src):
+    # 2^20000 has 6,021 digits, past the 4,300 that Python converts to text
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "eval", "--format", fmt, src)
+        assert (code, out) == (1, "")
+        assert err == "error: a coefficient has more than 4300 digits, too many to print\n"
+
+
 def test_evaluate_operator_on_a_coefficient(S):
     # the coefficient is lifted to a degree-0 element first
     for _ in range(2):

@@ -5,6 +5,7 @@ import copy
 import inspect
 import operator
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,7 @@ from qtsym import SymmetricFunctions, coeffs, poly
 from qtsym.coeffs import ONE, Q, T, ZERO, Coeff, dot
 from qtsym.errors import CoefficientError
 from qtsym.poly import (
-    _biv_heugcd,
+    _heugcd,
     _int_strip_content,
     _pack,
     _poly_add,
@@ -25,8 +26,6 @@ from qtsym.poly import (
     _poly_mul,
     _poly_prem,
     _prs_gcd,
-    _uni_divexact,
-    _uni_gcd,
     _unpack,
 )
 
@@ -157,6 +156,15 @@ def test_rendering():
     assert str(ONE) == "1"
     assert str(Coeff.from_value(Fraction(-1, 2))) == "-1/2"
     assert (Q + T).render(qname="a", tname="b") == "b + a"
+
+
+def test_rendering_stops_at_the_digit_limit():
+    # Python converts integers of at most 4300 digits to text
+    assert str(ONE * (10**4300 - 1)) == "9" * 4300
+    assert str(Q / (10**4300 - 1)) == "1/" + "9" * 4300 + "*q"
+    for value in (ONE * 10**4300, Q / 10**4300, -(T * 10**4300)):
+        with pytest.raises(CoefficientError, match="more than 4300 digits"):
+            str(value)
 
 
 def test_graded_order_puts_t_first():
@@ -387,7 +395,7 @@ int_polys = st.dictionaries(exponents, int_coeffs, min_size=1, max_size=4).map(
 def test_prs_gcd_agrees_with_heuristic_gcd(f, g, h):
     a = _int_strip_content(_poly_mul(f, g))
     b = _int_strip_content(_poly_mul(f, h))
-    fast = _biv_heugcd(a, b)
+    fast = _heugcd(a, b, 1)
     slow = _prs_gcd(a, b)
     for factor in (a, b):
         _poly_divexact(factor, _int_strip_content(slow))  # raises unless exact
@@ -424,7 +432,7 @@ def test_poly_gcd_remainder_sequence_runs():
         return _prs_gcd(a, b)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_biv_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_heugcd", lambda f, g, v: None)
         mp.setattr(poly, "_prs_gcd", counted_prs)
         mp.setattr(poly, "_GCD_CACHE", {})
         got = _gcd_workload()
@@ -432,48 +440,157 @@ def test_poly_gcd_remainder_sequence_runs():
     assert got == want
 
 
-def test_heuristic_gcd_candidate_must_divide_both_inputs():
-    # both heuristics first evaluate at x = 31, where 1 + x = 32 divides
-    # 33 + x = 64: the lifted candidate is the input with constant 1, which
-    # divides that input but not the other one and must be rejected; the
-    # next point gives the true gcd
-    assert _uni_gcd({1: 1, 0: 33}, {1: 1, 0: 1}) == {0: 1}
-    assert _uni_gcd({1: 1, 0: 1}, {1: 1, 0: 33}) == {0: 1}
+def _divisors_tried(monkeypatch) -> list:
+    """Spy on _poly_divexact: the divisors it was called with, in order."""
+    divisors = []
+    kernel = poly._poly_divexact
+
+    def spy(a, b):
+        divisors.append(b)
+        return kernel(a, b)
+
+    monkeypatch.setattr(poly, "_poly_divexact", spy)
+    return divisors
+
+
+def test_heuristic_gcd_candidate_must_divide_both_inputs(monkeypatch):
+    # the heuristic first evaluates at x = 31, at either level, where
+    # 1 + x = 32 divides 33 + x = 64: the lifted candidate is the input with
+    # constant 1, which divides that input but not the other one and must
+    # be rejected; the next point gives the true gcd
+    divisors = _divisors_tried(monkeypatch)
     one_plus_q = _packed({(0, 0): 1, (1, 0): 1})
+    f, g = _in_q({1: 1, 0: 33}), _in_q({1: 1, 0: 1})
+    assert _heugcd(f, g, 0) == _packed({(0, 0): 1})
+    assert _heugcd(g, f, 0) == _packed({(0, 0): 1})
+    assert divisors == [one_plus_q, one_plus_q, one_plus_q]
+    divisors.clear()
     f = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 33}))
     g = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 1}))
-    assert _biv_heugcd(f, g) == one_plus_q
-    assert _biv_heugcd(g, f) == one_plus_q
+    assert _heugcd(f, g, 1) == one_plus_q
+    assert _heugcd(g, f, 1) == one_plus_q
+    rejected = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 1}))
+    assert divisors[0] == rejected and rejected not in divisors[-2:]
+    # at x = 31 the image of x - 31 is zero: that point is skipped, with
+    # no candidate to try, at either level
+    divisors.clear()
+    assert _heugcd(_in_q({1: 1, 0: -31}), _in_q({1: 1, 0: 1}), 0) == _in_q({0: 1})
+    f = _packed({(0, 1): 1, (0, 0): -31})
+    assert _heugcd(f, _packed({(0, 1): 1, (0, 0): 1}), 1) == _in_q({0: 1})
+    assert divisors == []
+
+
+def _points_tried(monkeypatch) -> list:
+    """Spy on _image: the variable of each evaluation, two per point."""
+    variables = []
+    kernel = poly._image
+
+    def spy(p, x, v):
+        variables.append(v)
+        return kernel(p, x, v)
+
+    monkeypatch.setattr(poly, "_image", spy)
+    return variables
+
+
+def _inexact(a, b):
+    raise ArithmeticError("inexact polynomial division")
 
 
 def test_biv_heugcd_gives_up_when_every_candidate_fails(monkeypatch):
-    def inexact(a, b):
-        raise ArithmeticError("inexact polynomial division")
+    # every candidate in t fails its trial division, while the gcds of the
+    # images in q still divide: the heuristic gives up after six points
+    kernel = poly._poly_divexact
 
-    monkeypatch.setattr(poly, "_poly_divexact", inexact)
+    def inexact_in_t(a, b):
+        if poly._degree(b, 1):
+            raise ArithmeticError("inexact polynomial division")
+        return kernel(a, b)
+
+    monkeypatch.setattr(poly, "_poly_divexact", inexact_in_t)
+    variables = _points_tried(monkeypatch)
     a = _poly_mul(F_COMMON, G_COPRIME)
     b = _poly_mul(F_COMMON, H_COPRIME)
-    assert _biv_heugcd(a, b) is None
+    assert _heugcd(a, b, 1) is None
+    assert variables.count(1) == 12
+    # the same in q, where every candidate fails
+    monkeypatch.setattr(poly, "_poly_divexact", _inexact)
+    variables.clear()
+    one_plus_q = _in_q({1: 1, 0: 1})
+    a = _poly_mul(one_plus_q, _in_q({2: 1, 0: 2}))
+    b = _poly_mul(one_plus_q, _in_q({1: 2, 0: -3}))
+    assert _heugcd(a, b, 0) is None
+    assert variables == [0] * 12
+
+
+def test_heuristic_gives_up_on_images_too_large(monkeypatch):
+    # t-exponents of 2^18 would make images of a million bits; the bound
+    # on deg * bits(x) hands the gcd to the remainder sequence at once
+    def value():
+        return Q ** (2**18) * (T ** (2**18) / (1 - Q)) + ONE / (1 - Q) ** 2
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_GCD_CACHE", {})
+        start = time.perf_counter()
+        fast = value()
+        elapsed = time.perf_counter() - start
+        mp.setattr(poly, "_heugcd", lambda f, g, v: None)
+        mp.setattr(poly, "_GCD_CACHE", {})
+        forced = value()
+    assert fast.num == forced.num and fast.den == forced.den
+    assert elapsed < 0.05
+    variables = _points_tried(monkeypatch)
+    f = _packed({(0, 2**18): 1, (0, 0): 1})
+    assert _heugcd(f, _packed({(1, 0): 1, (0, 0): 1}), 1) is None
+    assert variables == []
+
+
+def test_poly_gcd_splits_off_monomial_and_integer_contents(monkeypatch):
+    monkeypatch.setattr(poly, "_GCD_CACHE", {})
+    one_plus_q = _int_poly(**{"1": 1, "q": 1})
+    two_plus_t = _int_poly(**{"1": 2, "t": 1})
+    for a, b, want in (
+        # q t divides both, q^2 t only one of them
+        (_int_poly(q_t=1), _int_poly(**{"q^2_t": 1}), _int_poly(q_t=1)),
+        (_int_poly(q_t=1, t=3), _int_poly(**{"q^2_t": 1}), _int_poly(t=1)),
+        (_int_poly(q_t=2, t=2), _int_poly(**{"q^2_t": 6, "q_t^2": 3}), _int_poly(t=1)),
+    ):
+        a, b = _poly_mul(a, one_plus_q), _poly_mul(b, _poly_mul(one_plus_q, two_plus_t))
+        assert _poly_gcd(a, b) == _poly_gcd(b, a) == _poly_mul(want, one_plus_q)
+
+
+def test_image_gcds_bypass_the_cache(monkeypatch):
+    # only the top-level call is cached: the gcds of the images in q,
+    # which never repeat, do not grow the cache
+    monkeypatch.setattr(poly, "_GCD_CACHE", {})
+    a = _poly_mul(F_COMMON, G_COPRIME)
+    b = _poly_mul(F_COMMON, H_COPRIME)
+    assert _same_up_to_sign(_poly_gcd(a, b), F_COMMON)
+    assert len(poly._GCD_CACHE) == 1
 
 
 def test_uni_divexact_raises_when_inexact():
+    # exact division of polynomials in q by the packed kernel:
     # (x + 1)(2x - 3) by x + 1, and by the constant 1
-    assert _uni_divexact({2: 2, 1: -1, 0: -3}, {1: 1, 0: 1}) == {1: 2, 0: -3}
-    assert _uni_divexact({3: 5, 0: -1}, {0: 1}) == {3: 5, 0: -1}
+    assert _poly_divexact(
+        _in_q({2: 2, 1: -1, 0: -3}), _in_q({1: 1, 0: 1})
+    ) == _in_q({1: 2, 0: -3})
+    assert _poly_divexact(_in_q({3: 5, 0: -1}), _in_q({0: 1})) == _in_q({3: 5, 0: -1})
     # a remainder, an integer quotient that would be floored, a divisor of
     # higher degree
-    with pytest.raises(ArithmeticError):
-        _uni_divexact({2: 1, 0: 1}, {1: 1, 0: 1})
-    with pytest.raises(ArithmeticError):
-        _uni_divexact({1: 3, 0: 1}, {1: 2, 0: 1})
-    with pytest.raises(ArithmeticError):
-        _uni_divexact({1: 4, 0: 3}, {0: 2})
-    with pytest.raises(ArithmeticError):
-        _uni_divexact({1: 1}, {2: 1})
+    for a, b in (
+        ({2: 1, 0: 1}, {1: 1, 0: 1}),
+        ({1: 3, 0: 1}, {1: 2, 0: 1}),
+        ({1: 4, 0: 3}, {0: 2}),
+        ({1: 1}, {2: 1}),
+    ):
+        with pytest.raises(ArithmeticError):
+            _poly_divexact(_in_q(a), _in_q(b))
 
 
 def _uni_gcd_by_remainders(a, b):
-    """_uni_gcd with the heuristic GCD failing, so the primitive remainder
+    """_poly_gcd of univariate integer polynomials, given as {exponent:
+    coeff}, in q with the heuristic GCD failing, so the primitive remainder
     sequence runs; also returns how many pseudo-remainders it took."""
     calls = []
 
@@ -482,9 +599,10 @@ def _uni_gcd_by_remainders(a, b):
         return _poly_prem(f, g, v)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_uni_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_heugcd", lambda f, g, v: None)
         mp.setattr(poly, "_poly_prem", counted_prem)
-        return _uni_gcd(a, b), len(calls)
+        mp.setattr(poly, "_GCD_CACHE", {})
+        return _poly_gcd(_in_q(a), _in_q(b)), len(calls)
 
 
 def test_uni_gcd_remainder_sequence_runs():
@@ -492,10 +610,10 @@ def test_uni_gcd_remainder_sequence_runs():
     a = _uni_mul({1: 1, 0: 1}, {2: 1, 0: 2})
     b = _uni_mul({1: 1, 0: 1}, {1: 2, 0: -3})
     got, steps = _uni_gcd_by_remainders(a, b)
-    assert got == {1: 1, 0: 1}
+    assert got == _in_q({1: 1, 0: 1})
     assert steps >= 2
     # coprime inputs end on a constant remainder
-    assert _uni_gcd_by_remainders({2: 1, 0: 1}, {1: 2, 0: 1}) == ({0: 1}, 1)
+    assert _uni_gcd_by_remainders({2: 1, 0: 1}, {1: 2, 0: 1}) == (_in_q({0: 1}), 1)
 
 
 uni_int_polys = st.dictionaries(
@@ -506,10 +624,18 @@ uni_int_polys = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(uni_int_polys, uni_int_polys, uni_int_polys)
 def test_uni_gcd_remainder_sequence_agrees_with_heuristic(f, g, h):
-    a, b = _uni_mul(f, g), _uni_mul(f, h)
-    slow, _ = _uni_gcd_by_remainders(a, b)
-    assert slow == _uni_gcd(a, b)
+    a = _int_strip_content(_in_q(_uni_mul(f, g)))
+    b = _int_strip_content(_in_q(_uni_mul(f, h)))
+    slow, _ = _uni_gcd_by_remainders(_pairs_in_q(a), _pairs_in_q(b))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_GCD_CACHE", {})
+        assert slow == _poly_gcd(a, b)
     assert gcd(*slow.values()) == 1 and slow[max(slow)] > 0
+
+
+def _pairs_in_q(p: dict) -> dict:
+    """A polynomial in q as a univariate {exponent: coeff} dict."""
+    return {eq: c for (eq, _), c in _pairs(p).items()}
 
 
 def _to_sympy(c: Coeff, q, t):
@@ -551,7 +677,7 @@ _VARIABLE_EXPONENTS = {
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_remainder_sequence_gcd_matches_sympy(variables, data):
-    # both heuristics give up, so _poly_gcd reduces by the remainder
+    # the heuristic gives up, so _poly_gcd reduces by the remainder
     # sequence alone; sympy's gcd is the independent oracle
     sympy = pytest.importorskip("sympy")
     q, t = sympy.symbols("q t")
@@ -559,8 +685,7 @@ def test_remainder_sequence_gcd_matches_sympy(variables, data):
     f, g, h = data.draw(polys_in), data.draw(polys_in), data.draw(polys_in)
     a, b = _poly_mul(f, g), _poly_mul(f, h)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_biv_heugcd", lambda f, g: None)
-        mp.setattr(poly, "_uni_heugcd", lambda f, g: None)
+        mp.setattr(poly, "_heugcd", lambda f, g, v: None)
         mp.setattr(poly, "_GCD_CACHE", {})
         got = _poly_gcd(a, b)
 
@@ -868,64 +993,47 @@ def test_dot_with_a_unit_denominator_that_is_not_the_shared_one():
 # returned without trial division
 
 
-def _no_division(monkeypatch):
-    def refuse(a, b):
-        raise AssertionError("trial division ran")
-
-    monkeypatch.setattr(poly, "_uni_divexact", refuse)
-    monkeypatch.setattr(poly, "_poly_divexact", refuse)
-
-
-def test_uni_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
-    f, g = {1: 1, 0: 2}, {2: 1, 0: 3}
-    want = poly._uni_heugcd(f, g)
-    assert want == {0: 1}
-    _no_division(monkeypatch)
-    assert poly._uni_heugcd(f, g) == want
-    # a lifted -1 is made primitive to +1, as the divisions would accept
-    monkeypatch.setattr(poly, "_balanced_digits", lambda n, x: [-1])
-    assert poly._uni_heugcd(f, g) == {0: 1}
-
-
-def test_biv_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
-    f = _packed({(1, 0): 1, (0, 1): 1, (0, 0): 2})
-    g = _packed({(1, 0): 1, (0, 1): 1, (0, 0): 3})
-    want = _biv_heugcd(f, g)
+def _assert_constant_candidate_taken(monkeypatch, f, g, v):
+    want = _heugcd(f, g, v)
     assert want == _packed({(0, 0): 1})
-    _no_division(monkeypatch)
-    assert _biv_heugcd(f, g) == want
+    monkeypatch.setattr(poly, "_poly_divexact", _refuse_division)
+    assert _heugcd(f, g, v) == want
     # a lifted -1 keeps its sign, as the two divisions by -1 would
-    monkeypatch.setattr(poly, "_biv_lift_t", lambda image, x: _packed({(0, 0): -1}))
-    assert _biv_heugcd(f, g) == _packed({(0, 0): -1})
+    monkeypatch.setattr(poly, "_balanced_digits", lambda n, x: [-1])
+    assert _heugcd(f, g, v) == _packed({(0, 0): -1})
     # and _poly_gcd turns the sign into a positive gcd
     monkeypatch.setattr(poly, "_GCD_CACHE", {})
     assert _poly_gcd(f, g) == _packed({(0, 0): 1})
 
 
+def _refuse_division(a, b):
+    raise AssertionError("trial division ran")
+
+
+def test_uni_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
+    f, g = _in_q({1: 1, 0: 2}), _in_q({2: 1, 0: 3})
+    _assert_constant_candidate_taken(monkeypatch, f, g, 0)
+
+
+def test_biv_heugcd_takes_a_constant_candidate_without_division(monkeypatch):
+    f = _packed({(1, 0): 1, (0, 1): 1, (0, 0): 2})
+    g = _packed({(1, 0): 1, (0, 1): 1, (0, 0): 3})
+    _assert_constant_candidate_taken(monkeypatch, f, g, 1)
+
+
 def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
     # a common factor is still verified by both trial divisions
-    uni_calls, biv_calls = [], []
-    uni_kernel, biv_kernel = poly._uni_divexact, poly._poly_divexact
-
-    def uni_counted(a, b):
-        uni_calls.append(1)
-        return uni_kernel(a, b)
-
-    def biv_counted(a, b):
-        biv_calls.append(1)
-        return biv_kernel(a, b)
-
-    monkeypatch.setattr(poly, "_uni_divexact", uni_counted)
-    monkeypatch.setattr(poly, "_poly_divexact", biv_counted)
-    f = _uni_mul({1: 1, 0: 1}, {2: 1, 0: 2})
-    g = _uni_mul({1: 1, 0: 1}, {1: 2, 0: -3})
-    assert poly._uni_heugcd(f, g) == {1: 1, 0: 1}
-    assert len(uni_calls) == 2
+    divisors = _divisors_tried(monkeypatch)
     one_plus_q = _packed({(0, 0): 1, (1, 0): 1})
+    f = _poly_mul(one_plus_q, _in_q({2: 1, 0: 2}))
+    g = _poly_mul(one_plus_q, _in_q({1: 2, 0: -3}))
+    assert _heugcd(f, g, 0) == one_plus_q
+    assert divisors == [one_plus_q, one_plus_q]
+    divisors.clear()
     f = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 2}))
     g = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 3}))
-    assert _biv_heugcd(f, g) == one_plus_q
-    assert len(biv_calls) == 2
+    assert _heugcd(f, g, 1) == one_plus_q
+    assert divisors == [one_plus_q, one_plus_q]
 
 
 # -- the packed-monomial kernel: a key per monomial, a dense and a sparse
