@@ -440,6 +440,10 @@ def test_poly_gcd_remainder_sequence_runs():
     assert got == want
 
 
+# -- the heuristic GCD, `_heugcd`: the `uni` tests give it polynomials in q
+# alone (v = 0), the `biv` tests polynomials in q and t (v = 1)
+
+
 def _divisors_tried(monkeypatch) -> list:
     """Spy on _poly_divexact: the divisors it was called with, in order."""
     divisors = []
@@ -624,18 +628,14 @@ uni_int_polys = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(uni_int_polys, uni_int_polys, uni_int_polys)
 def test_uni_gcd_remainder_sequence_agrees_with_heuristic(f, g, h):
-    a = _int_strip_content(_in_q(_uni_mul(f, g)))
-    b = _int_strip_content(_in_q(_uni_mul(f, h)))
-    slow, _ = _uni_gcd_by_remainders(_pairs_in_q(a), _pairs_in_q(b))
+    a, b = _uni_mul(f, g), _uni_mul(f, h)
+    slow, _ = _uni_gcd_by_remainders(a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "_GCD_CACHE", {})
-        assert slow == _poly_gcd(a, b)
-    assert gcd(*slow.values()) == 1 and slow[max(slow)] > 0
-
-
-def _pairs_in_q(p: dict) -> dict:
-    """A polynomial in q as a univariate {exponent: coeff} dict."""
-    return {eq: c for (eq, _), c in _pairs(p).items()}
+        assert slow == _poly_gcd(_in_q(a), _in_q(b))
+    # the gcd of the integer contents, with a positive leading coefficient
+    assert gcd(*slow.values()) == gcd(*a.values(), *b.values())
+    assert slow[max(slow)] > 0
 
 
 def _to_sympy(c: Coeff, q, t):
