@@ -217,22 +217,16 @@ class _Operator:
         self.action = action
 
 
-def _hall_diag(lam: Partition) -> Coeff:
-    return Coeff.from_value(lam.zee())
-
-
-def _hall_t_diag(lam: Partition) -> Coeff:
-    out = Coeff.from_value(lam.zee())
-    for part in lam:
-        out = out / (ONE - T**part)
+def _pleth_factor(nu: Partition, alphabet: Coeff) -> Coeff:
+    """p_nu[A] = prod_i A(q^nu_i, t^nu_i), by which X -> XA scales p_nu."""
+    out = ONE
+    for part in nu:
+        out = out * alphabet.substitute(q=Q**part, t=T**part)
     return out
 
 
-def _hall_qt_diag(lam: Partition) -> Coeff:
-    out = Coeff.from_value(lam.zee())
-    for part in lam:
-        out = out * (ONE - Q**part) / (ONE - T**part)
-    return out
+# the built-in products <f, g>_A = <f, g[XA]>_hall: <p_nu, p_nu>_A = z_nu p_nu[A]
+_ALPHABETS = {"hall": ONE, "hall_t": ONE / (ONE - T), "hall_qt": (ONE - Q) / (ONE - T)}
 
 
 class SymmetricFunctions:
@@ -244,9 +238,8 @@ class SymmetricFunctions:
         self._edges: list[_Edge] = []
         self._operators: dict[str, _Operator] = {}
         self._scalar_products: dict[str, Callable[[Partition], Coeff]] = {
-            "hall": _hall_diag,
-            "hall_t": _hall_t_diag,
-            "hall_qt": _hall_qt_diag,
+            name: lambda nu, a=alphabet: _pleth_factor(nu, a) * nu.zee()
+            for name, alphabet in _ALPHABETS.items()
         }
         self._edge_matrices: dict[tuple[str, int], CoeffMatrix] = {}
         self._path_matrices: dict[tuple[str, str, int], CoeffMatrix] = {}
@@ -505,6 +498,15 @@ class SymmetricFunctions:
         for n, terms in _by_degree(el.terms).items():
             out.update(self.conversion_matrix(el.basis, target, n).apply(terms))
         return SymElement(self, target, out)
+
+    def plethysm(self, el: SymElement, alphabet) -> SymElement:
+        """el[XA] in p for a coefficient A: each p_nu times p_nu[A], with
+        p_k[q] = q^k and rational constants fixed.  X(1-t) is A = 1 - t."""
+        alphabet = Coeff.from_value(alphabet)
+        terms = self.convert(el, "p").terms
+        return SymElement(
+            self, "p", {nu: c * _pleth_factor(nu, alphabet) for nu, c in terms.items()}
+        )
 
     def common_basis(self, a: str, b: str) -> str:
         """The basis minimizing summed conversion distance from a and b."""

@@ -25,7 +25,16 @@ exceed it is an error raised before any computation starts, so a typo such
 as ``McdP[13]`` or ``s[7]*s[7]`` fails at once instead of starting a run
 whose cost grows steeply with the degree.  Exponents of q and t are
 bounded too: each stays below 2^19 (`poly.EXP_LIMIT`), and a power such as
-``t^600000`` is an error at that node.
+``t^600000`` is an error at that node.  A power of a coefficient whose
+numerator or denominator has more than one term is bounded by its size:
+a part whose exponents span a in q and b in t has its n-th power within
+(na + 1)(nb + 1) terms, and a power whose parts may total more than
+MAX_POWER_TERMS = 1000 terms is an error at that node, raised before any
+expansion.  So ``(1+q)^999`` and ``(1+q+t)^30`` evaluate, while
+``(1+q)^1000`` and ``(1+q+t)^31`` do not; powers of monomials such as
+``t^500000`` are bounded by the exponent limit alone.  A number literal
+longer than Python converts to an int (4,300 digits by default,
+``sys.get_int_max_str_digits``) is an error at its position.
 
 Each distinct source text is parsed once: ``evaluate`` and
 ``coefficient_from_text`` take their trees from an LRU cache of the last
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 
 from .algebra import SymElement, SymmetricFunctions
 from .coeffs import Coeff
@@ -54,6 +64,7 @@ _SYMBOLS = "+-*/^()[],"
 
 MAX_NESTING = 100
 MAX_DEGREE = 12
+MAX_POWER_TERMS = 1000
 
 
 class _Token:
@@ -77,6 +88,12 @@ def _tokenize(src: str) -> list[_Token]:
             j = i
             while j < len(src) and src[j].isdecimal():
                 j += 1
+            # 0 for no limit, as before Python 3.10.7 had one
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and j - i > limit:
+                raise ExpressionError(
+                    f"number at position {i} has more than {limit} digits"
+                )
             out.append(_Token("num", src[i:j], i))
             i = j
             continue
@@ -310,6 +327,14 @@ class _Evaluator:
         if kind == "pow":
             base = self.eval(node.children[0])
             self.bound_degree(node, _degree(base) * node.value)
+            if isinstance(base, Coeff):
+                size = _power_size(base, node.value)
+                if size > MAX_POWER_TERMS:
+                    raise self.fail(
+                        node,
+                        f"a power of a coefficient is bounded at {MAX_POWER_TERMS} "
+                        f"terms, and this one may have {_shown(size)}",
+                    )
             try:
                 return base ** node.value
             except QtSymError as exc:
@@ -328,7 +353,8 @@ class _Evaluator:
     def bound_degree(self, node: Node, degree: int) -> None:
         if degree > MAX_DEGREE:
             raise self.fail(
-                node, f"degree {degree} exceeds the maximum degree {MAX_DEGREE}"
+                node,
+                f"degree {_shown(degree)} exceeds the maximum degree {MAX_DEGREE}",
             )
 
     def binary(self, node: Node, left, right):
@@ -395,6 +421,26 @@ class _Evaluator:
             f"unknown function {name!r}; expected to_<basis>, "
             "scalar, scalar_t, scalar_qt, or a registered operator",
         )
+
+
+def _shown(n: int) -> str:
+    """n as text for a message; a count formed from number literals of
+    thousands of digits may be too long for Python to print."""
+    return str(n) if n < 10**18 else "more than 10^18"
+
+
+def _power_size(c: Coeff, n: int) -> int:
+    """A bound on the terms of c^n: a numerator or denominator with
+    exponent ranges a in q and b in t has its n-th power within an
+    (na + 1) x (nb + 1) grid.  Monomials count 0, as their powers stay
+    single terms."""
+    size = 0
+    for terms in (c.numerator_terms(), c.denominator_terms()):
+        if len(terms) > 1:
+            eqs = [eq for eq, _ in terms]
+            ets = [et for _, et in terms]
+            size += (n * (max(eqs) - min(eqs)) + 1) * (n * (max(ets) - min(ets)) + 1)
+    return size
 
 
 def _degree(value) -> int:

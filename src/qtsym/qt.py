@@ -1,5 +1,9 @@
 """Hall-Littlewood and Macdonald bases.
 
+The deformed scalar products are <f, g>_A = <f, g[XA]>, the Hall product
+against the plethysm `S.plethysm(g, A)`: A = 1/(1-t) for the t-deformed
+`hall_t` and A = (1-q)/(1-t) for the (q,t)-deformed `hall_qt`.
+
 * P: monic orthogonal family for the t-deformed scalar product, built from
   the tableau formula P_lam = sum over SSYT T of shape lam of psi_T(t) x^T
   (Macdonald, Symmetric Functions and Hall Polynomials, III (5.11')).  A
@@ -18,8 +22,8 @@
   integer polynomial coefficients.  The integral form is
   J_lam[X; q, t] = t^n(lam) H~_lam[X(1-t); q, 1/t], and
   P_lam = J_lam / c_lam with c_lam = prod over cells (1 - q^arm t^(leg+1)).
-  The plethysm X -> X(1-t) is diagonal on powersums, so the only rational
-  step is one division by c_lam per coefficient.
+  `S.plethysm(H~, 1 - t)` gives X -> X(1-t), diagonal on powersums, so
+  the only rational step is one division by c_lam per coefficient.
 """
 
 from __future__ import annotations
@@ -148,21 +152,14 @@ def register_qt(S) -> None:
         )
 
     def mcd_to_m(lam: Partition):
-        n = lam.size
-        h_m = {mu: Coeff(poly) for mu, poly in _hhl_terms(lam).items()}
-        j_p = S.conversion_matrix("m", "p", n).apply(h_m)
-        for nu in j_p:
-            plethysm = ONE
-            for part in nu:
-                plethysm = plethysm * (ONE - T**part)
-            j_p[nu] = j_p[nu] * plethysm
-        j_m = S.conversion_matrix("p", "m", n).apply(j_p)
+        h = S.element("m", {mu: Coeff(poly) for mu, poly in _hhl_terms(lam).items()})
+        j_m = S.convert(S.plethysm(h, ONE - T), "m")
         c_lam = ONE
         conj = lam.conjugate().parts
         for i, row in enumerate(lam.parts):
             for j in range(row):
                 c_lam = c_lam * (ONE - Q ** (row - j - 1) * T ** (conj[j] - i))
-        return S.element("m", {mu: v / c_lam for mu, v in j_m.items()})
+        return S.element("m", {mu: v / c_lam for mu, v in j_m.terms.items()})
 
     def q_to_p(lam: Partition):
         b_lam = {0: 1}

@@ -164,6 +164,17 @@ def test_add_same_basis(S):
     }
 
 
+def test_scalars_minus_elements(S):
+    s1 = S["s"]([1])
+    for value in (3, Fraction(1, 2), 1 - Q / T):
+        got = value - s1
+        assert got.basis == "s"
+        assert got.terms == {Partition(): Coeff.from_value(value), Partition([1]): -ONE}
+        assert got == -(s1 - value)
+    with pytest.raises(TypeError):
+        "x" - s1
+
+
 def test_add_across_bases_picks_common_basis(S):
     mixed = S["s"]([2]) + S["p"]([2])
     assert mixed.basis == "m"
@@ -317,6 +328,65 @@ def test_scalar_equals_running_sum_in_p(S, product):
                 g = _random_element(S, rng, b, degrees)
                 expected = _reference_scalar(S, f, g, product)
                 assert S.scalar(f, g, product) == expected, (f, g)
+
+
+_ALPHABETS = (ONE, 1 - T, ONE / (1 - T), (1 - Q) / (1 - T), Q + T, Fraction(-1, 2))
+
+
+def test_plethysm_is_a_ring_map(S):
+    rng = random.Random("ring map")
+    for a in _ALPHABETS:
+        for _ in range(6):
+            f = _random_element(S, rng, rng.choice(_PAIRING_BASES), (1, 2))
+            g = _random_element(S, rng, rng.choice(_PAIRING_BASES), (1, 2))
+            assert S.plethysm(f * g, a) == S.plethysm(f, a) * S.plethysm(g, a)
+
+
+def test_plethysm_composes(S):
+    rng = random.Random("composes")
+    for a in _ALPHABETS:
+        for b in _ALPHABETS:
+            f = _random_element(S, rng, rng.choice(_PAIRING_BASES), (2, 3))
+            assert S.plethysm(S.plethysm(f, a), b) == S.plethysm(f, a * b)
+
+
+def test_plethysm_is_linear_and_fixes_one(S):
+    rng = random.Random("linear")
+    for a in _ALPHABETS:
+        f = _random_element(S, rng, "s", (1, 3))
+        g = _random_element(S, rng, "McdP", (2, 3))
+        c = rng.choice(_PAIRING_COEFFS)
+        got = S.plethysm(f * c + g, a)
+        assert got == S.plethysm(f, a) * c + S.plethysm(g, a)
+        one = S.plethysm(f, 1)
+        assert one.basis == "p" and one.terms == S.convert(f, "p").terms
+    # p_k[q] = q^k, and rational constants stay fixed
+    p = S["p"]
+    assert S.plethysm(p([2, 1]) + 3, Q).terms == {
+        Partition([2, 1]): Q**3,
+        Partition(): Coeff.from_value(3),
+    }
+
+
+@pytest.mark.parametrize(
+    "product, alphabet", [("hall_t", ONE / (1 - T)), ("hall_qt", (1 - Q) / (1 - T))]
+)
+def test_deformed_products_are_hall_against_a_plethysm(S, product, alphabet):
+    # <f, g>_A = <f, g[XA]>
+    s, h = S["s"], S["h"]
+    for n in range(1, 6):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                f, g = s(lam.parts), h(mu.parts)
+                want = S.scalar(f, S.plethysm(g, alphabet), "hall")
+                assert S.scalar(f, g, product) == want, (lam, mu)
+
+
+def test_built_in_diagonals_are_their_closed_forms(S):
+    for product in ("hall", "hall_t", "hall_qt"):
+        for n in range(9):
+            for nu in partitions_of(n):
+                assert S._diagonal(product, nu) == _zee_weight(product, nu)
 
 
 def test_pairings_follow_registrations_made_after_them():

@@ -201,6 +201,77 @@ def test_cli_eval_of_a_number_too_long_to_print_is_a_user_error(capsys, src):
         assert err == "error: a coefficient has more than 4300 digits, too many to print\n"
 
 
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGITS, reason="this Python converts ints of any length")
+@pytest.mark.parametrize(
+    "template, at_the_limit",
+    [
+        ("N", None),
+        ("s[N]", "maximum degree 12"),
+        ("s[N,N]", "degree more than 10^18 exceeds the maximum degree 12"),
+        ("q^N", "exponents of q and t must stay below 524288"),
+    ],
+)
+def test_cli_eval_number_literals_up_to_the_digit_limit(capsys, template, at_the_limit):
+    # a literal as long as Python converts to an int parses, and fails, if
+    # at all, for what it denotes; one digit more fails at its position
+    longest = "9" * _DIGITS
+    code, out, err = run_cli(capsys, "eval", template.replace("N", longest))
+    if at_the_limit is None:
+        assert (code, out, err) == (0, longest + "\n", "")
+    else:
+        assert (code, out) == (1, "") and at_the_limit in err and "digits" not in err
+    code, out, err = run_cli(capsys, "eval", template.replace("N", longest + "9"))
+    assert (code, out) == (1, "")
+    position = template.index("N")
+    assert err == f"error: number at position {position} has more than {_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize(
+    "src, head",
+    [
+        ("(1+q)^999", b"q^999 + 999*q^998 + 498501*q^997 + "),
+        ("(1+q+t)^30", b"t^30 + 30*q*t^29 + 435*q^2*t^28 + "),
+        ("(1/(1-t))^999", b"-1/(t^999 - 999*t^998 + 498501*t^997 - "),
+    ],
+)
+def test_cli_eval_coefficient_powers_within_the_term_bound(src, head):
+    run = _cli_subprocess("eval", src, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout.startswith(head) and run.stdout.endswith(b"\n")
+
+
+@pytest.mark.parametrize(
+    "src, node, size",
+    [
+        ("(1+q)^1000", "(1+q)^1000", "1001"),
+        ("(1+q+t)^31", "(1+q+t)^31", "1024"),
+        ("2 * (1/(1-t))^1000", "(1/(1-t))^1000", "1001"),
+        ("((1+q)/(1-q))^500", "((1+q)/(1-q))^500", "1002"),
+        ("(1+q)^20000", "(1+q)^20000", "20001"),
+        ("to_s((1+q+t)^200*s[1])", "(1+q+t)^200", "40401"),
+    ],
+)
+def test_cli_eval_coefficient_powers_past_the_term_bound(src, node, size):
+    # each would expand for seconds to minutes; the bound fails first
+    run = _cli_subprocess("eval", src, timeout=10)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == (
+        "error: a power of a coefficient is bounded at 1000 terms, and this "
+        f"one may have {size} (in '{node}')\n"
+    ).encode()
+
+
+def test_a_power_past_the_term_bound_fails_before_expanding(S, monkeypatch):
+    powers = []
+    monkeypatch.setattr(Coeff, "__pow__", lambda base, n: powers.append(n))
+    with pytest.raises(ExpressionError, match="bounded at 1000 terms"):
+        evaluate(S, "(1+q)^1000")
+    assert powers == []
+
+
 def test_evaluate_operator_on_a_coefficient(S):
     # the coefficient is lifted to a degree-0 element first
     for _ in range(2):

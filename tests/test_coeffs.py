@@ -573,6 +573,31 @@ def test_image_gcds_bypass_the_cache(monkeypatch):
     assert len(poly._GCD_CACHE) == 1
 
 
+def test_gcd_cache_clears_at_its_limit(monkeypatch):
+    # a full cache is emptied before the next result is stored, and the
+    # gcds after the clear are those of an unbounded cache
+    inputs = [
+        (_poly_mul(F_COMMON, G_COPRIME), _poly_mul(F_COMMON, H_COPRIME)),
+        (_poly_mul(G_COPRIME, F_COMMON), _poly_mul(G_COPRIME, H_COPRIME)),
+        (_poly_mul(H_COPRIME, G_COPRIME), _poly_mul(H_COPRIME, F_COMMON)),
+        (F_COMMON, G_COPRIME),
+        (G_COPRIME, H_COPRIME),
+    ]
+    monkeypatch.setattr(poly, "_GCD_CACHE", {})
+    want = [_poly_gcd(a, b) for a, b in inputs]
+    assert len(poly._GCD_CACHE) == len(inputs)
+    monkeypatch.setattr(poly, "_GCD_CACHE", {})
+    monkeypatch.setattr(poly, "_GCD_CACHE_LIMIT", 2)
+    sizes = []
+    for _ in range(2):
+        got = []
+        for a, b in inputs:
+            got.append(_poly_gcd(a, b))
+            sizes.append(len(poly._GCD_CACHE))
+        assert got == want
+    assert sizes == [1, 2, 1, 2, 1, 2, 1, 2, 1, 2]
+
+
 def test_uni_divexact_raises_when_inexact():
     # exact division of polynomials in q by the packed kernel:
     # (x + 1)(2x - 3) by x + 1, and by the constant 1
@@ -1190,6 +1215,16 @@ def test_dot_near_the_exponent_limit_is_the_running_sum():
         dot(pairs)
     with pytest.raises(CoefficientError):
         sum((a * b for a, b in pairs), ZERO)
+
+
+def test_dot_whose_summed_numerator_passes_the_limit_is_the_running_sum():
+    # over the denominator (1 - t)(1 + t), the first numerator t^(2^19 - 1)
+    # becomes t^(2^19 - 1) + t^(2^19): only the summed numerator passes
+    pairs = [(T ** (_LIMIT - 1) / (1 - T), ONE), (ONE / (1 - T**2), ONE)]
+    with pytest.raises(CoefficientError, match="must stay below 524288"):
+        dot(pairs)
+    with pytest.raises(CoefficientError, match="must stay below 524288"):
+        pairs[0][0] + pairs[1][0]
 
 
 def test_poly_exceeds_reads_each_exponent():
