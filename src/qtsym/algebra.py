@@ -19,6 +19,7 @@ registered, and otherwise routes through h.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Mapping
 
 from .coeffs import ONE, Q, T, ZERO, Coeff, dot
@@ -217,12 +218,12 @@ class _Operator:
         self.action = action
 
 
-def _pleth_factor(nu: Partition, alphabet: Coeff) -> Coeff:
-    """p_nu[A] = prod_i A(q^nu_i, t^nu_i), by which X -> XA scales p_nu."""
-    out = ONE
-    for part in nu:
-        out = out * alphabet.substitute(q=Q**part, t=T**part)
-    return out
+def _pleth_factors(alphabet: Coeff, nus) -> dict[Partition, Coeff]:
+    """nu -> p_nu[A] = prod_i A(q^nu_i, t^nu_i), by which X -> XA scales
+    p_nu, for each nu of nus; each A(q^k, t^k) is formed once."""
+    parts = {k for nu in nus for k in nu}
+    images = {k: alphabet.substitute(q=Q**k, t=T**k) for k in parts}
+    return {nu: prod((images[k] for k in nu), start=ONE) for nu in nus}
 
 
 # the built-in products <f, g>_A = <f, g[XA]>_hall: <p_nu, p_nu>_A = z_nu p_nu[A]
@@ -238,7 +239,7 @@ class SymmetricFunctions:
         self._edges: list[_Edge] = []
         self._operators: dict[str, _Operator] = {}
         self._scalar_products: dict[str, Callable[[Partition], Coeff]] = {
-            name: lambda nu, a=alphabet: _pleth_factor(nu, a) * nu.zee()
+            name: lambda nu, a=alphabet: _pleth_factors(a, [nu])[nu] * nu.zee()
             for name, alphabet in _ALPHABETS.items()
         }
         self._edge_matrices: dict[tuple[str, int], CoeffMatrix] = {}
@@ -502,11 +503,9 @@ class SymmetricFunctions:
     def plethysm(self, el: SymElement, alphabet) -> SymElement:
         """el[XA] in p for a coefficient A: each p_nu times p_nu[A], with
         p_k[q] = q^k and rational constants fixed.  X(1-t) is A = 1 - t."""
-        alphabet = Coeff.from_value(alphabet)
         terms = self.convert(el, "p").terms
-        return SymElement(
-            self, "p", {nu: c * _pleth_factor(nu, alphabet) for nu, c in terms.items()}
-        )
+        factors = _pleth_factors(Coeff.from_value(alphabet), terms)
+        return SymElement(self, "p", {nu: c * factors[nu] for nu, c in terms.items()})
 
     def common_basis(self, a: str, b: str) -> str:
         """The basis minimizing summed conversion distance from a and b."""

@@ -26,15 +26,13 @@ as ``McdP[13]`` or ``s[7]*s[7]`` fails at once instead of starting a run
 whose cost grows steeply with the degree.  Exponents of q and t are
 bounded too: each stays below 2^19 (`poly.EXP_LIMIT`), and a power such as
 ``t^600000`` is an error at that node.  A power of a coefficient whose
-numerator or denominator has more than one term is bounded by its size:
-a part whose exponents span a in q and b in t has its n-th power within
-(na + 1)(nb + 1) terms, and a power whose parts may total more than
-MAX_POWER_TERMS = 1000 terms is an error at that node, raised before any
-expansion.  So ``(1+q)^999`` and ``(1+q+t)^30`` evaluate, while
-``(1+q)^1000`` and ``(1+q+t)^31`` do not; powers of monomials such as
-``t^500000`` are bounded by the exponent limit alone.  A number literal
-longer than Python converts to an int (4,300 digits by default,
-``sys.get_int_max_str_digits``) is an error at its position.
+numerator or denominator has more than one term may have at most
+MAX_POWER_TERMS = 1000 terms, counted before expanding: a part whose
+exponents span a in q and b in t counts (na + 1)(nb + 1) at power n, so
+``(1+q)^1000`` and ``(1+q+t)^31`` are errors at that node.  Powers of
+monomials such as ``t^500000`` meet the exponent bound alone.  A number
+literal longer than Python converts to an int (4,300 digits by default)
+is an error at its position.
 
 Each distinct source text is parsed once: ``evaluate`` and
 ``coefficient_from_text`` take their trees from an LRU cache of the last
@@ -77,6 +75,8 @@ class _Token:
 
 
 def _tokenize(src: str) -> list[_Token]:
+    # 0 for no limit, as before Python 3.10.7 had one
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     out: list[_Token] = []
     i = 0
     while i < len(src):
@@ -88,11 +88,9 @@ def _tokenize(src: str) -> list[_Token]:
             j = i
             while j < len(src) and src[j].isdecimal():
                 j += 1
-            # 0 for no limit, as before Python 3.10.7 had one
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and j - i > limit:
+            if max_digits and j - i > max_digits:
                 raise ExpressionError(
-                    f"number at position {i} has more than {limit} digits"
+                    f"number at position {i} has more than {max_digits} digits"
                 )
             out.append(_Token("num", src[i:j], i))
             i = j
