@@ -325,7 +325,7 @@ class _Evaluator:
         if kind == "pow":
             base = self.eval(node.children[0])
             self.bound_degree(node, _degree(base) * node.value)
-            if isinstance(base, Coeff):
+            if isinstance(base, Coeff) and not base.is_single_term():
                 size = _power_size(base, node.value)
                 if size > MAX_POWER_TERMS:
                     raise self.fail(
