@@ -146,8 +146,13 @@ class SymElement:
         if not isinstance(n, int) or n < 0:
             raise BasisError("element powers take nonnegative integer exponents")
         result = SymElement(self.algebra, self.basis, {Partition(): ONE})
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def scaled(self, c: Coeff) -> "SymElement":

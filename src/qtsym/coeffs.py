@@ -34,7 +34,11 @@ k * num / den only needs g = gcd(k, content(den)) divided out of k and
 den, so it takes no polynomial gcd, no polynomial product and no
 `_canonical` (times 1 it is the other operand itself).
 
-`dot`, the sum of products behind every matrix product, adds each
+Powers square num and den in Z[q,t] with no gcd: the powers of a
+coprime pair stay coprime.
+
+`dot`, the sum of products behind matrix-vector products and the
+entries of matrix products whose denominators do not nest, adds each
 product into one running numerator in place (`_poly_addmul`) and drops
 the cancelled terms once at the end.  It recognises a unit denominator
 by identity with the shared `_ONE_POLY`, which `_make` stores for every
@@ -353,14 +357,11 @@ class Coeff:
             raise TypeError("exponents must be integers")
         if n < 0:
             return self._inv() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if not self.num:
+            return ZERO if n else ONE
+        # powers of a coprime num and den stay coprime, and den's leading
+        # coefficient stays positive: no gcd, no _canonical
+        return _make(_poly_power(self.num, n), _poly_power(self.den, n))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -462,6 +463,21 @@ def _coerce(value):
     return NotImplemented
 
 
+def _poly_power(p: Poly, n: int) -> Poly:
+    """p^n by squaring in Z[q,t]; CoefficientError as soon as a square or
+    product would reach EXP_LIMIT."""
+    result = _ONE_POLY
+    while n:
+        if n & 1:
+            result = _poly_mul(result, p)
+            _bounded(result)
+        n >>= 1
+        if n:
+            p = _poly_mul(p, p)
+            _bounded(p)
+    return result
+
+
 def _poly_eval(p: Poly, qv: Coeff, tv: Coeff) -> Coeff:
     total = ZERO
     q_pows: dict[int, Coeff] = {0: ONE}
@@ -522,20 +538,10 @@ def dot(pairs) -> Coeff:
         # None marks a cofactor of 1, which is never multiplied in
         top, cofactors = _ONE_POLY, [None] * len(terms)
     else:
-        top = max(terms, key=lambda term: _total_degree(term[2]))[2]
-        if _total_degree(top) >= EXP_LIMIT:
+        common = _common_denominator([den for _, _, den in terms])
+        if common is None:
             return _running_sum(terms)
-        lift = _int_lcm(*(_int_gcd(*den.values()) for _, _, den in terms))
-        lift //= _int_gcd(*top.values())
-        if lift > 1:
-            top = {mono: c * lift for mono, c in top.items()}
-        try:
-            cofactors = [
-                None if den == top else _poly_divexact(top, den)
-                for _, _, den in terms
-            ]
-        except ArithmeticError:
-            return _running_sum(terms)
+        top, cofactors = common
     num: Poly = {}
     for (a, b, _), cofactor in zip(terms, cofactors):
         if cofactor is None:
@@ -552,6 +558,25 @@ def dot(pairs) -> Coeff:
         return _running_sum(terms)
     g = _ONE_POLY if _poly_is_one(top) else _poly_gcd(num, top)
     return _canonical(num, top, g)
+
+
+def _common_denominator(dens: list[Poly]) -> tuple[Poly, list[Poly | None]] | None:
+    """The nesting rule of `dot` and of matrix products: D is the
+    denominator of highest total degree, times whatever integer the
+    others need beyond its content.  Returns D and the exact cofactors
+    D / den, None where den equals D; None instead when some den does not
+    divide D, or when D's total degree reaches EXP_LIMIT."""
+    top = max(dens, key=_total_degree)
+    if _total_degree(top) >= EXP_LIMIT:
+        return None
+    lift = _int_lcm(*(_int_gcd(*den.values()) for den in dens))
+    lift //= _int_gcd(*top.values())
+    if lift > 1:
+        top = {mono: c * lift for mono, c in top.items()}
+    try:
+        return top, [None if den == top else _poly_divexact(top, den) for den in dens]
+    except ArithmeticError:
+        return None
 
 
 def _running_sum(terms) -> Coeff:

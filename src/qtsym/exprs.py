@@ -29,8 +29,14 @@ bounded too: each stays below 2^19 (`poly.EXP_LIMIT`), and a power such as
 numerator or denominator has more than one term may have at most
 MAX_POWER_TERMS = 1000 terms, counted before expanding: a part whose
 exponents span a in q and b in t counts (na + 1)(nb + 1) at power n, so
-``(1+q)^1000`` and ``(1+q+t)^31`` are errors at that node.  Powers of
-monomials such as ``t^500000`` meet the exponent bound alone.  A number
+``(1+q)^1000`` and ``(1+q+t)^31`` are errors at that node; powers of
+monomials such as ``t^500000`` stay one term.  A power whose
+coefficients may reach 2^19 bits (`poly.EXP_LIMIT` again) is an error
+at that node too, such as ``2^100000000`` or ``(3*q)^400000``: the n-th
+power of the sum of a numerator's or denominator's absolute
+coefficients bounds them, exactly for a rational constant.  Both bounds
+apply to the one coefficient of a degree-0 element such as
+``(2*s[])^600000``.  A number
 literal longer than Python converts to an int (4,300 digits by default)
 is an error at its position.
 
@@ -50,6 +56,7 @@ any registered operator name (such as ``omega``) is callable.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import sys
 
@@ -57,6 +64,7 @@ from .algebra import SymElement, SymmetricFunctions
 from .coeffs import Coeff
 from .errors import ExpressionError, QtSymError
 from .partitions import Partition
+from .poly import EXP_LIMIT
 
 _SYMBOLS = "+-*/^()[],"
 
@@ -325,14 +333,10 @@ class _Evaluator:
         if kind == "pow":
             base = self.eval(node.children[0])
             self.bound_degree(node, _degree(base) * node.value)
-            if isinstance(base, Coeff) and not base.is_single_term():
-                size = _power_size(base, node.value)
-                if size > MAX_POWER_TERMS:
-                    raise self.fail(
-                        node,
-                        f"a power of a coefficient is bounded at {MAX_POWER_TERMS} "
-                        f"terms, and this one may have {_shown(size)}",
-                    )
+            if not _degree(base):
+                # a coefficient, or an element of degree 0 and its one
+                # coefficient
+                self.bound_power(node, base, node.value)
             try:
                 return base ** node.value
             except QtSymError as exc:
@@ -353,6 +357,26 @@ class _Evaluator:
             raise self.fail(
                 node,
                 f"degree {_shown(degree)} exceeds the maximum degree {MAX_DEGREE}",
+            )
+
+    def bound_power(self, node: Node, base, n: int) -> None:
+        """Refuse a power of a coefficient, or of the coefficient of a
+        degree-0 element, that may pass MAX_POWER_TERMS terms or have a
+        coefficient of EXP_LIMIT bits."""
+        if isinstance(base, SymElement):
+            base = base.coefficient(Partition())
+        if not base.is_single_term():
+            size = _power_size(base, n)
+            if size > MAX_POWER_TERMS:
+                raise self.fail(
+                    node,
+                    f"a power of a coefficient is bounded at {MAX_POWER_TERMS} "
+                    f"terms, and this one may have {_shown(size)}",
+                )
+        if _power_bits(base, n) >= EXP_LIMIT:
+            raise self.fail(
+                node,
+                f"the coefficients of a power are bounded at {EXP_LIMIT} bits",
             )
 
     def binary(self, node: Node, left, right):
@@ -439,6 +463,16 @@ def _power_size(c: Coeff, n: int) -> int:
             ets = [et for _, et in terms]
             size += (n * (max(eqs) - min(eqs)) + 1) * (n * (max(ets) - min(ets)) + 1)
     return size
+
+
+def _power_bits(c: Coeff, n: int) -> int:
+    """A bound on the bit length of the coefficients of c^n, exact for a
+    rational constant: no coefficient of p^n passes the n-th power of the
+    sum of p's absolute coefficients, numerator and denominator alike.
+    An exponent of EXP_LIMIT or more counts as EXP_LIMIT, which passes the
+    bound at any sum of 2 or more."""
+    norm = max(sum(map(abs, c.num.values()), 0), sum(map(abs, c.den.values())))
+    return int(min(n, EXP_LIMIT) * math.log2(norm)) + 1
 
 
 def _degree(value) -> int:

@@ -219,6 +219,26 @@ def test_monomial_products(S):
     assert m([2, 1]) * m() == m([2, 1])
 
 
+@pytest.mark.parametrize("basis", ["s", "m", "p", "P", "McdP"])
+def test_element_powers_equal_repeated_products(S, basis):
+    b = S[basis]
+    for f in (b([1]) + b([2]).scaled(Q), b([1]).scaled(ONE / (1 - T)), b().scaled(1 + Q)):
+        product = S.one(basis)
+        for n in range(4):
+            got = f**n
+            assert got.basis == product.basis and got.terms == product.terms, n
+            product = product * f
+
+
+def test_powers_of_degree_zero_elements_square(S):
+    # 2 * 10**5 products one at a time took over a second
+    assert S["s"]() ** 200000 == S["s"]()
+    c = (1 + Q) / (1 - T)
+    assert S["m"]().scaled(c) ** 40 == S["m"]().scaled(c**40)
+    with pytest.raises(BasisError):
+        S["s"]() ** -1
+
+
 def test_sums_that_cancel_leave_no_zero_term(S):
     s, m, p = S["s"], S["m"], S["p"]
     pair, three, eleven = Partition([1, 1]), Partition([3]), Partition([1, 1, 1])

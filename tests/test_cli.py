@@ -264,6 +264,50 @@ def test_cli_eval_coefficient_powers_past_the_term_bound(src, node, size):
     ).encode()
 
 
+@pytest.mark.parametrize(
+    "src, node",
+    [
+        ("2^100000000", "2^100000000"),
+        ("2^524287", "2^524287"),
+        ("1 + (1/3)^400000", "(1/3)^400000"),
+        ("(10^4000)^200", "(10^4000)^200"),
+        ("(2*s[])^600000", "(2*s[])^600000"),
+        ("(3*q)^400000", "(3*q)^400000"),
+    ],
+)
+def test_cli_eval_powers_past_the_bit_bound(src, node):
+    # 2^100000000 took most of a second and 64 MB before rendering
+    # refused it; the bound fails before any power is built
+    run = _cli_subprocess("eval", src, timeout=10)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == (
+        f"error: the coefficients of a power are bounded at 524288 bits (in '{node}')\n"
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "src, out",
+    [
+        ("s[]^200000", b"s[]\n"),
+        ("(-s[])^200001", b"-s[]\n"),
+        ("2^524286 - 2^524286", b"0\n"),
+        ("((1+q)*s[])^2", b"(q^2 + 2*q + 1)*s[]\n"),
+    ],
+)
+def test_cli_eval_powers_of_degree_zero_elements(src, out):
+    run = _cli_subprocess("eval", src, timeout=10)
+    assert (run.returncode, run.stdout, run.stderr) == (0, out, b"")
+
+
+def test_cli_eval_power_of_a_degree_zero_element_meets_the_term_bound():
+    run = _cli_subprocess("eval", "((1+q)*s[])^1000", timeout=10)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == (
+        b"error: a power of a coefficient is bounded at 1000 terms, and this "
+        b"one may have 1001 (in '((1+q)*s[])^1000')\n"
+    )
+
+
 def test_a_power_past_the_term_bound_fails_before_expanding(S, monkeypatch):
     powers = []
     monkeypatch.setattr(Coeff, "__pow__", lambda base, n: powers.append(n))

@@ -144,6 +144,78 @@ def test_powers():
     assert ((1 - T) / (1 - Q)) ** (-1) == (1 - Q) / (1 - T)
 
 
+_POWER_BASES = [
+    ZERO,
+    ONE,
+    Coeff.from_value(-3),
+    Coeff.from_value(Fraction(-2, 9)),
+    2 * Q * T**3,
+    1 + Q * T,
+    (1 + Q * T) / (1 - T),
+    # canonical with a denominator of content 2 and a negative tail
+    3 * Q / (2 * T - 2),
+    (Q - 2 * T**2) / (4 * Q**2 * T - 6),
+    -T / (1 - Q) ** 2,
+]
+
+
+@pytest.mark.parametrize("base", _POWER_BASES, ids=str)
+def test_powers_equal_repeated_products(base):
+    product = ONE
+    for n in range(9):
+        assert base**n == product, n
+        if base:
+            assert base ** (-n) == ONE / product, n
+        product = product * base
+    if not base:
+        with pytest.raises(CoefficientError, match="division by zero"):
+            base ** (-1)
+
+
+def test_powers_take_no_gcd(monkeypatch):
+    def no_gcd(a, b):
+        raise AssertionError("a power took a gcd")
+
+    exponents = (2, 3, 7, 8, -2, -7)
+    base = (1 + Q * T) / (1 - T)
+    with monkeypatch.context() as m:
+        m.setattr(coeffs, "_poly_gcd", no_gcd)
+        powers = [[base**n for n in exponents if base or n > 0] for base in _POWER_BASES]
+        # a power that took about a second while each squaring took a gcd
+        big = base**200
+    assert big == _repeated(base, 200)
+    for base, got in zip(_POWER_BASES, powers):
+        assert got == [_repeated(base, n) for n in exponents if base or n > 0]
+
+
+def _repeated(base, n):
+    product = ONE
+    for _ in range(abs(n)):
+        product = product * base
+    return product if n >= 0 else ONE / product
+
+
+def test_powers_raise_at_the_exponent_limit():
+    with pytest.raises(CoefficientError, match="must stay below 524288"):
+        (1 + Q**1000) ** 600
+    with pytest.raises(CoefficientError, match="must stay below 524288"):
+        (Q / (1 - T**4096)) ** 128
+    # an unchecked square, q^1200000, would carry into the field of t
+    with pytest.raises(CoefficientError, match="must stay below 524288"):
+        (Q**300000) ** 4
+    assert (1 + T**4096) ** 127 == sum(
+        (Coeff.from_value(comb) * T ** (4096 * k) for k, comb in enumerate(_binomials(127))),
+        ZERO,
+    )
+
+
+def _binomials(n):
+    row = [1]
+    for k in range(n):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return row
+
+
 def test_rendering():
     assert str(T + 2) == "t + 2"
     assert str((1 - T**2) / (1 - T)) == "t + 1"

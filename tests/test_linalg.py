@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qtsym import linalg
 from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
-from qtsym.errors import SingularMatrixError
+from qtsym.errors import CoefficientError, SingularMatrixError
 from qtsym.linalg import CoeffMatrix
 from qtsym.partitions import partitions_of
 
@@ -140,6 +140,9 @@ def test_compose_sums_over_a_shared_denominator():
         ("P", ("s",), (5,)),
         ("Q", ("s",), (5,)),
         ("QP", ("s",), (5,)),
+        ("P", ("m", "e", "h", "p"), (6,)),
+        ("Q", ("m", "e", "h", "p"), (6,)),
+        ("QP", ("m", "e", "h", "p"), (6,)),
     ],
 )
 def test_compose_equals_running_sum_on_conversion_matrices(S, hub, partners, degrees):
@@ -260,3 +263,86 @@ def test_compose_pairs_only_nonzero_entries(monkeypatch):
             assert all(c is ZERO for c in got.rows[0])
             assert all(row[-1] is ZERO for row in got.rows)
     assert seen
+
+
+# Entries by kind: polynomials; rationals whose denominators nest, powers
+# of 1 - t up to integers; and rationals whose denominators do not.
+_POLYNOMIALS = [ONE, -ONE, c(3), Q, 1 - T, 1 + Q * T, 2 * Q**2 - T]
+_NESTED = [ONE / 2, T / (1 - T), (1 + Q) / (1 - T) ** 2, Q / (3 - 3 * T), -ONE / 6]
+_UNNESTED = [ONE / (1 - Q), T / (1 - Q) ** 2, Q / (1 - T), (1 - Q) / (1 - Q * T)]
+_KINDS = {
+    "polynomial": _POLYNOMIALS,
+    "nested": _POLYNOMIALS + _NESTED,
+    "unnested": _POLYNOMIALS + _NESTED + _UNNESTED,
+}
+
+
+def _random_matrix(rng, n_rows, n_cols, values):
+    """A matrix with a zero first row and a zero last column, and half of
+    its other entries zero."""
+    rows = [
+        [
+            ZERO if i == 0 or j == n_cols - 1 or rng.random() < 0.5 else rng.choice(values)
+            for j in range(n_cols)
+        ]
+        for i in range(n_rows)
+    ]
+    return CoeffMatrix(range(n_rows), range(n_cols), rows)
+
+
+@pytest.mark.parametrize("left", sorted(_KINDS))
+@pytest.mark.parametrize("right", sorted(_KINDS))
+def test_compose_mixed_factors_equals_running_sum(left, right):
+    rng = random.Random(f"{left} {right}")
+    for n_rows, n_mid, n_cols in ((1, 1, 1), (3, 4, 2), (4, 2, 5), (6, 6, 6)):
+        for _ in range(8):
+            a = _random_matrix(rng, n_rows, n_mid, _KINDS[left])
+            b = _random_matrix(rng, n_mid, n_cols, _KINDS[right])
+            got = a @ b
+            assert got == _running_sum_matmul(a, b)
+            assert all(e is ZERO for e in got.rows[0])
+            assert all(row[-1] is ZERO for row in got.rows)
+
+
+def test_compose_over_one_denominator_calls_no_dot(monkeypatch):
+    def no_dot(pairs):
+        raise AssertionError("a nested product fell back to dot")
+
+    rng = random.Random(19)
+    pairs = [
+        (_random_matrix(rng, 5, 5, _KINDS["nested"]), _random_matrix(rng, 5, 5, _KINDS[kind]))
+        for kind in ("polynomial", "nested")
+        for _ in range(10)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "dot", no_dot)
+        products = [a @ b for a, b in pairs]
+    assert products == [_running_sum_matmul(a, b) for a, b in pairs]
+
+
+_HALF = 1 << 18  # twice this is EXP_LIMIT
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # polynomials: q^(2^19) + q in the one entry
+        ([[Q**_HALF, Q]], [[Q**_HALF], [ONE]]),
+        # rationals whose denominators nest along the row and the column
+        ([[Q**_HALF / (1 - T), ONE / (1 - T) ** 2]], [[Q**_HALF], [ONE / (1 - Q)]]),
+    ],
+    ids=["polynomial", "rational"],
+)
+def test_compose_at_the_exponent_limit_raises_as_running_sum(left, right):
+    a = CoeffMatrix(("x",), ("u", "v"), left)
+    b = CoeffMatrix(("u", "v"), ("y",), right)
+    with pytest.raises(CoefficientError) as expected:
+        _running_sum_matmul(a, b)
+    with pytest.raises(CoefficientError) as got:
+        a @ b
+    assert str(got.value) == str(expected.value)
+    assert "must stay below 524288" in str(got.value)
+    # one power of q less on each side stays within the limit
+    a = CoeffMatrix(a.row_keys, a.col_keys, [[left[0][0] / Q, left[0][1]]])
+    b = CoeffMatrix(b.row_keys, b.col_keys, [[right[0][0] / Q], right[1]])
+    assert a @ b == _running_sum_matmul(a, b)
