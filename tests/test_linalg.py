@@ -224,8 +224,12 @@ def test_apply_equals_running_sum(S, pair, n, data):
     assert m.apply(vector) == _running_sum_apply(m, vector)
 
 
-def _random_sparse(rng, row_keys, col_keys, zero_rows=(), zero_cols=()):
-    values = [ONE, -ONE, ONE / 2, Q, 1 - T, ONE / (1 - Q), T / (1 - Q) ** 2, Q / (1 - T)]
+_SPARSE_VALUES = [ONE, -ONE, ONE / 2, Q, 1 - T, ONE / (1 - Q), T / (1 - Q) ** 2, Q / (1 - T)]
+
+
+def _random_sparse(
+    rng, row_keys, col_keys, zero_rows=(), zero_cols=(), values=_SPARSE_VALUES
+):
     rows = [
         [
             ZERO
@@ -277,27 +281,19 @@ _KINDS = {
 }
 
 
-def _random_matrix(rng, n_rows, n_cols, values):
-    """A matrix with a zero first row and a zero last column, and half of
-    its other entries zero."""
-    rows = [
-        [
-            ZERO if i == 0 or j == n_cols - 1 or rng.random() < 0.5 else rng.choice(values)
-            for j in range(n_cols)
-        ]
-        for i in range(n_rows)
-    ]
-    return CoeffMatrix(range(n_rows), range(n_cols), rows)
-
-
 @pytest.mark.parametrize("left", sorted(_KINDS))
 @pytest.mark.parametrize("right", sorted(_KINDS))
 def test_compose_mixed_factors_equals_running_sum(left, right):
     rng = random.Random(f"{left} {right}")
     for n_rows, n_mid, n_cols in ((1, 1, 1), (3, 4, 2), (4, 2, 5), (6, 6, 6)):
         for _ in range(8):
-            a = _random_matrix(rng, n_rows, n_mid, _KINDS[left])
-            b = _random_matrix(rng, n_mid, n_cols, _KINDS[right])
+            # a zero first row and a zero last column on each side
+            a = _random_sparse(
+                rng, range(n_rows), range(n_mid), {0}, {n_mid - 1}, _KINDS[left]
+            )
+            b = _random_sparse(
+                rng, range(n_mid), range(n_cols), {0}, {n_cols - 1}, _KINDS[right]
+            )
             got = a @ b
             assert got == _running_sum_matmul(a, b)
             assert all(e is ZERO for e in got.rows[0])
@@ -309,8 +305,12 @@ def test_compose_over_one_denominator_calls_no_dot(monkeypatch):
         raise AssertionError("a nested product fell back to dot")
 
     rng = random.Random(19)
+    keys = range(5)
     pairs = [
-        (_random_matrix(rng, 5, 5, _KINDS["nested"]), _random_matrix(rng, 5, 5, _KINDS[kind]))
+        (
+            _random_sparse(rng, keys, keys, values=_KINDS["nested"]),
+            _random_sparse(rng, keys, keys, values=_KINDS[kind]),
+        )
         for kind in ("polynomial", "nested")
         for _ in range(10)
     ]
