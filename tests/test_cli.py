@@ -276,8 +276,8 @@ def test_cli_eval_coefficient_powers_past_the_term_bound(src, node, size):
     ],
 )
 def test_cli_eval_powers_past_the_bit_bound(src, node):
-    # 2^100000000 took most of a second and 64 MB before rendering
-    # refused it; the bound fails before any power is built
+    # each power would have 2^19 bits or more before printing could refuse
+    # it; the bound fails before any power is built
     run = _cli_subprocess("eval", src, timeout=10)
     assert (run.returncode, run.stdout) == (1, b"")
     assert run.stderr == (

@@ -181,7 +181,7 @@ def test_powers_take_no_gcd(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(coeffs, "_poly_gcd", no_gcd)
         powers = [[base**n for n in exponents if base or n > 0] for base in _POWER_BASES]
-        # a power that took about a second while each squaring took a gcd
+        # a gcd per squaring would cost about a second here
         big = base**200
     assert big == _repeated(base, 200)
     for base, got in zip(_POWER_BASES, powers):
