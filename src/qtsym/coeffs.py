@@ -38,7 +38,7 @@ Powers square num and den in Z[q,t] with no gcd: the powers of a
 coprime pair stay coprime.
 
 `dot`, the sum of products behind matrix-vector products and the
-entries of matrix products with a rational row or column, adds each
+entries of matrix products whose denominators do not nest, adds each
 product into one running numerator in place (`_poly_addmul`) and drops
 the cancelled terms once at the end.  It recognises a unit denominator
 by identity with the shared `_ONE_POLY`, which `_make` stores for every
@@ -520,15 +520,8 @@ def dot(pairs) -> Coeff:
     """
     terms = []
     for a, b in pairs:
-        if not a.num or not b.num:
-            continue
-        if a.den is _ONE_POLY:
-            den = b.den
-        elif b.den is _ONE_POLY:
-            den = a.den
-        else:
-            den = _poly_mul(a.den, b.den)
-        terms.append((a, b, den))
+        if a.num and b.num:
+            terms.append((a, b, _product_den(a.den, b.den)))
     if not terms:
         return ZERO
     if len(terms) == 1:
@@ -538,20 +531,10 @@ def dot(pairs) -> Coeff:
         # None marks a cofactor of 1, which is never multiplied in
         top, cofactors = _ONE_POLY, [None] * len(terms)
     else:
-        top = max(terms, key=lambda term: _total_degree(term[2]))[2]
-        if _total_degree(top) >= EXP_LIMIT:
+        common = _common_denominator([den for _, _, den in terms])
+        if common is None:
             return _running_sum(terms)
-        lift = _int_lcm(*(_int_gcd(*den.values()) for _, _, den in terms))
-        lift //= _int_gcd(*top.values())
-        if lift > 1:
-            top = {mono: c * lift for mono, c in top.items()}
-        try:
-            cofactors = [
-                None if den == top else _poly_divexact(top, den)
-                for _, _, den in terms
-            ]
-        except ArithmeticError:
-            return _running_sum(terms)
+        top, cofactors = common
     num: Poly = {}
     for (a, b, _), cofactor in zip(terms, cofactors):
         if cofactor is None:
@@ -566,8 +549,43 @@ def dot(pairs) -> Coeff:
     num = {mono: c for mono, c in num.items() if c}
     if _poly_exceeds(num):
         return _running_sum(terms)
-    g = _ONE_POLY if _poly_is_one(top) else _poly_gcd(num, top)
-    return _canonical(num, top, g)
+    return _divided(num, top)
+
+
+def _product_den(a: Poly, b: Poly) -> Poly:
+    """The denominator a * b of a product, with a unit factor taken as 1
+    by identity with the shared `_ONE_POLY`."""
+    if a is _ONE_POLY:
+        return b
+    if b is _ONE_POLY:
+        return a
+    return _poly_mul(a, b)
+
+
+def _divided(num: Poly, den: Poly) -> "Coeff":
+    """num / den in canonical form, for a sum num of products brought over
+    den with its cancelled terms dropped: one gcd, none over 1."""
+    g = _ONE_POLY if _poly_is_one(den) else _poly_gcd(num, den)
+    return _canonical(num, den, g)
+
+
+def _common_denominator(dens: list[Poly]) -> tuple[Poly, list[Poly | None]] | None:
+    """The nesting rule of `dot` and of matrix products: D is the
+    denominator of highest total degree, times whatever integer the
+    others need beyond its content.  Returns D and the exact cofactors
+    D / den, None where den equals D; None instead when some den does not
+    divide D, or when D's total degree reaches EXP_LIMIT."""
+    top = max(dens, key=_total_degree)
+    if _total_degree(top) >= EXP_LIMIT:
+        return None
+    lift = _int_lcm(*(_int_gcd(*den.values()) for den in dens))
+    lift //= _int_gcd(*top.values())
+    if lift > 1:
+        top = {mono: c * lift for mono, c in top.items()}
+    try:
+        return top, [None if den == top else _poly_divexact(top, den) for den in dens]
+    except ArithmeticError:
+        return None
 
 
 def _running_sum(terms) -> Coeff:

@@ -5,28 +5,42 @@ in row-major lists of Coeff.  Rows and columns are keyed by arbitrary
 hashable labels (partitions in practice); keys travel with the matrix so
 composition and inversion cannot silently misalign bases.
 
-Composition adds each entry's products in place in Z[q,t] when the row
-of the left factor and the column of the right factor hold only
-polynomials: such an entry is a polynomial, packaged with no gcd at all
-(`_polynomial_entry`).  Every other entry is one `coeffs.dot` over the
-pairs of nonzero entries, which divides once: it brings the products
-over their denominator of highest degree, adds the numerators in Z[q,t]
-and takes one gcd, as in Bareiss's fraction-free elimination.
+Composition brings each row of the left factor over one denominator D_i
+and each column of the right factor over one denominator E_j, once per
+product (`_lifted`), by the nesting rule of `coeffs.dot`: the
+denominator of highest total degree, times any integer the others need,
+with one exact cofactor per distinct denominator.  A row or column of
+polynomials has denominator 1.  Entry (i, j) is then the sum of the
+lifted numerators' products, added in place in Z[q,t], over D_i * E_j
+and reduced by one gcd, as in Bareiss's fraction-free elimination; over
+denominator 1 it is packaged with no gcd at all.  An entry whose row or
+column does not nest, or whose degree could come near EXP_LIMIT, is one
+`dot` over the pairs of nonzero entries instead.
 
-Matrix-vector products are one `dot` per entry too, and add the
-products one at a time only when a denominator does not divide that of
-highest degree.  Applying the matrix to a vector with one nonzero entry
-sums nothing: it scales that column.  Inversion eliminates on the rows
-of [A | I], whose right half ends as the inverse.
+Matrix-vector products divide once per entry too: each is one `dot`,
+which brings the entry's products over their denominator of highest
+degree, adds the numerators in Z[q,t] and takes one gcd, and adds the
+products one at a time only when a denominator does not divide that
+one.  Applying the matrix to a vector with one nonzero entry sums
+nothing: it scales that column.  Inversion eliminates on the rows of
+[A | I], whose right half ends as the inverse.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .coeffs import ONE, ZERO, Coeff, _make, dot
+from .coeffs import ONE, ZERO, Coeff, _common_denominator, _divided, _product_den, dot
 from .errors import SingularMatrixError
-from .poly import _ONE_POLY, EXP_LIMIT, Poly, _poly_addmul, _total_degree
+from .poly import (
+    _ONE_POLY,
+    EXP_LIMIT,
+    Poly,
+    _flat,
+    _poly_addmul,
+    _poly_mul,
+    _total_degree,
+)
 
 Key = Hashable
 
@@ -87,31 +101,30 @@ class CoeffMatrix:
         )
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
-        """Composition: entry (i, j) sums the products over the middle
-        indices where both factors are nonzero.  When row i and column j
-        hold only polynomials whose total degrees add up to less than
-        EXP_LIMIT, the products are added in place in Z[q,t] and packaged
-        with no gcd (`_polynomial_entry`); otherwise the entry is one
-        `dot`.  Each right-hand column's nonzero entries are listed once,
-        and an entry with no such index is zero."""
+        """Composition: entry (i, j) over D_i * E_j from the lifted row and
+        column (`_lifted`, `_composed`), or one `dot` over the middle
+        indices where both factors are nonzero when the row or column does
+        not nest or their degrees could reach EXP_LIMIT.  Each right-hand
+        column's nonzero entries are listed once, and an entry with no
+        such index is zero."""
         if self.col_keys != other.row_keys:
             raise ValueError("matrix composition with mismatched keys")
         cols = [
             [(k, row[j]) for k, row in enumerate(other.rows) if row[j].num]
             for j in range(len(other.col_keys))
         ]
-        poly_cols = [_polynomials([c for _, c in col]) for col in cols]
+        lifted_cols = [_lifted([c for _, c in col]) for col in cols]
         rows = []
         for left in self.rows:
-            poly_row = _polynomials(left)
+            lifted_row = _lifted(left)
             out = []
-            for col, poly_col in zip(cols, poly_cols):
+            for col, lifted_col in zip(cols, lifted_cols):
                 if (
-                    poly_row is not None
-                    and poly_col is not None
-                    and poly_row[1] + poly_col[1] < EXP_LIMIT
+                    lifted_row is not None
+                    and lifted_col is not None
+                    and lifted_row[2] + lifted_col[2] < EXP_LIMIT
                 ):
-                    out.append(_polynomial_entry(poly_row[0], col, poly_col[0]))
+                    out.append(_composed(lifted_row, col, lifted_col))
                 else:
                     pairs = [(left[k], c) for k, c in col if left[k].num]
                     out.append(dot(pairs) if pairs else ZERO)
@@ -197,26 +210,45 @@ class CoeffMatrix:
         return f"CoeffMatrix({len(self.row_keys)}x{len(self.col_keys)})"
 
 
-def _polynomials(entries: list[Coeff]):
-    """The numerators of entries and their highest total degree, or None
-    when some entry's denominator is not the shared 1 of `_make`."""
-    if not all(e.den is _ONE_POLY for e in entries):
-        return None
-    nums = [e.num for e in entries]
-    return nums, max((_total_degree(num) for num in nums if num), default=0)
+def _lifted(entries: list[Coeff]):
+    """The entries over one common denominator D, as (D, nums, degree):
+    nums[k] = entries[k] * D in Z[q,t], or None where entries[k] is zero,
+    and degree is the highest total degree of D and of any nums[k].  D
+    is 1 when every nonzero entry is a polynomial, and else follows `dot`'s
+    nesting rule (`_common_denominator`), with one cofactor per distinct
+    denominator.  None when the denominators do not nest."""
+    if all(e.den is _ONE_POLY for e in entries if e.num):
+        top, nums = _ONE_POLY, [e.num or None for e in entries]
+    else:
+        keys = [_flat(e.den) if e.num else None for e in entries]
+        dens = {key: e.den for key, e in zip(keys, entries) if key is not None}
+        common = _common_denominator(list(dens.values()))
+        if common is None:
+            return None
+        top, cofactors = common
+        cofactor = dict(zip(dens, cofactors))
+        nums = []
+        for key, e in zip(keys, entries):
+            if key is None or cofactor[key] is None:
+                nums.append(e.num or None)
+            else:
+                nums.append(_poly_mul(e.num, cofactor[key]))
+    degree = max(_total_degree(num) for num in (top, *nums) if num is not None)
+    return top, nums, degree
 
 
-def _polynomial_entry(row: list[Poly], col: list, col_nums: list[Poly]) -> Coeff:
-    """One entry of a product of polynomials: row[k] times the column's
-    numerator at each middle index k of col, added in place in Z[q,t],
-    with cancelled terms dropped once.  The row's and column's total
-    degrees add up to less than EXP_LIMIT, so no exponent of the sum
-    reaches it."""
+def _composed(row, col: list, lifted_col) -> Coeff:
+    """One entry of a product: the lifted row's numerators times the
+    lifted column's, added in place in Z[q,t], over D_i * E_j.  That
+    denominator is 1 or taken by one gcd; the row's and column's degrees
+    sum below EXP_LIMIT, so no exponent of the sum reaches it."""
+    row_den, row_nums, _ = row
+    col_den, col_nums, _ = lifted_col
     num: Poly = {}
     for (k, _), right in zip(col, col_nums):
-        left = row[k]
-        if left:
+        left = row_nums[k]
+        if left is not None:
             _poly_addmul(num, left, right)
     if 0 in num.values():
         num = {mono: c for mono, c in num.items() if c}
-    return _make(num, _ONE_POLY) if num else ZERO
+    return _divided(num, _product_den(row_den, col_den))
