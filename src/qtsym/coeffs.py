@@ -564,9 +564,11 @@ def _product_den(a: Poly, b: Poly) -> Poly:
 
 def _divided(num: Poly, den: Poly) -> "Coeff":
     """num / den in canonical form, for a sum num of products brought over
-    den with its cancelled terms dropped: one gcd, none over 1."""
-    g = _ONE_POLY if _poly_is_one(den) else _poly_gcd(num, den)
-    return _canonical(num, den, g)
+    den with its cancelled terms dropped: one gcd, and over the shared
+    `_ONE_POLY` none and no `_canonical`."""
+    if den is _ONE_POLY:
+        return _make(num, _ONE_POLY) if num else ZERO
+    return _canonical(num, den, _poly_gcd(num, den))
 
 
 def _common_denominator(dens: list[Poly]) -> tuple[Poly, list[Poly | None]] | None:
