@@ -7,13 +7,13 @@ syntax, bad input, precondition violations), 2 internal failure.
 ``partitions N`` lists at most N = MAX_PARTITIONS_N = 46 (105,558
 partitions, about 2 s); a larger N is a user error raised before listing.
 The ribbon, LLT and rigged-configuration modules are imported inside the
-subcommands that use them, so ``eval`` starts without loading them.
+subcommands that use them, and json inside ``_print_json``, so a text
+``eval`` starts without loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebra import SymElement, SymmetricFunctions
@@ -131,6 +131,12 @@ def _var_names(raw: str | None, S: SymmetricFunctions) -> tuple[str, str]:
     return qname, tname
 
 
+def _print_json(payload, indent: int | None = 2) -> None:
+    import json
+
+    print(json.dumps(payload, indent=indent))
+
+
 def _print_blocks(blocks: list[str]) -> None:
     print("\n\n".join(blocks) if blocks else "(none)")
 
@@ -145,12 +151,12 @@ def _cmd_eval(args) -> None:
         if args.basis:
             value = S.convert(value, args.basis)
         if args.format == "json":
-            print(json.dumps(value.to_json(), indent=2))
+            _print_json(value.to_json())
         else:
             print(S.render_element(value, qname, tname))
     else:
         if args.format == "json":
-            print(json.dumps({"coeff": str(value)}, indent=2))
+            _print_json({"coeff": str(value)})
         else:
             print(value.render(qname, tname))
 
@@ -164,7 +170,7 @@ def _cmd_partitions(args) -> None:
         )
     items = partitions_of(args.n)
     if args.format == "json":
-        print(json.dumps([list(lam.parts) for lam in items]))
+        _print_json([list(lam.parts) for lam in items], indent=None)
     else:
         for lam in items:
             print(lam)
@@ -178,7 +184,7 @@ def _cmd_tableaux(args) -> None:
         payload = [
             {**tab.to_json(), "charge": charge(tab)} for tab in items
         ]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         _print_blocks(
             [f"{tab.render()}\ncharge: {charge(tab)}" for tab in items]
@@ -192,7 +198,7 @@ def _cmd_ribbons(args) -> None:
     weight = parse_partition_text(args.weight)
     items = ribbon_tableaux(shape, weight.parts, args.k)
     if args.format == "json":
-        print(json.dumps([tab.to_json() for tab in items], indent=2))
+        _print_json([tab.to_json() for tab in items])
     else:
         _print_blocks([f"{tab.render()}\nspin: {tab.spin}" for tab in items])
 
@@ -204,7 +210,7 @@ def _cmd_rc(args) -> None:
     mu = parse_partition_text(args.mu)
     items = rigged_configurations(lam, mu)
     if args.format == "json":
-        print(json.dumps([rc.to_json() for rc in items], indent=2))
+        _print_json([rc.to_json() for rc in items])
     else:
         _print_blocks(
             [f"{rc.render()}\ncocharge: {rc.cocharge()}" for rc in items]
@@ -216,7 +222,7 @@ def _cmd_kostka(args) -> None:
     mu = parse_partition_text(args.mu)
     value = kostka_poly(lam, mu.parts)
     if args.format == "json":
-        print(json.dumps({"polynomial": str(value)}))
+        _print_json({"polynomial": str(value)}, indent=None)
     else:
         print(value)
 
@@ -229,7 +235,7 @@ def _cmd_genkostka(args) -> None:
     mu = parse_partition_text(args.mu)
     value = generalized_kostka(S, lam, mu, args.k)
     if args.format == "json":
-        print(json.dumps({"polynomial": str(value)}))
+        _print_json({"polynomial": str(value)}, indent=None)
     else:
         print(value)
 
@@ -241,7 +247,7 @@ def _cmd_llt(args) -> None:
     shape = parse_partition_text(args.shape)
     element = S.convert(llt_in_m(S, shape, args.k), args.basis)
     if args.format == "json":
-        print(json.dumps(element.to_json(), indent=2))
+        _print_json(element.to_json())
     else:
         print(element)
 
@@ -257,7 +263,7 @@ def _cmd_bases(args) -> None:
             "scalar_products": S.scalar_products(),
             "operators": S.operators(),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         for name, text in S.bases():
             print(f"{name:6} {text}")

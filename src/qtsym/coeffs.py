@@ -64,7 +64,7 @@ from .poly import (
     _poly_addmul,
     _poly_divexact,
     _poly_exceeds,
-    _poly_gcd,
+    _poly_gcd_cofactors,
     _poly_is_const,
     _poly_is_one,
     _poly_mul,
@@ -112,21 +112,32 @@ def _bounded(num: Poly, den: Poly = _ONE_POLY) -> None:
         raise CoefficientError(_LIMIT_MESSAGE)
 
 
-def _canonical(num: Poly, den: Poly, g: Poly) -> "Coeff":
-    """num/den in canonical form, where g is gcd(num, den): divide g out
-    and move the sign so that the denominator's leading coefficient is
-    positive.  The one canonicalisation step; only results canonical by
-    construction (constants, negations, integer multiples, products of
+def _canonical(num: Poly, den: Poly) -> "Coeff":
+    """num/den in canonical form for coprime num and den: move the sign
+    so that the denominator's leading coefficient is positive.  The one
+    canonicalisation step; only results canonical by construction
+    (constants, negations, integer multiples, powers, products of
     polynomials) skip it."""
     if not num:
         return ZERO
-    if not _poly_is_one(g):
-        num = _poly_divexact(num, g)
-        den = _poly_divexact(den, g)
     if den[max(den)] < 0:
         num = _poly_neg(num)
         den = _poly_neg(den)
     return _make(num, den)
+
+
+def _divided(num: Poly, den: Poly) -> "Coeff":
+    """num/den in canonical form for any num, with its cancelled terms
+    dropped, and nonzero den: both are replaced by their cofactors of
+    gcd(num, den), which the gcd returns from its own verifying divisions,
+    so nothing is divided twice.  Over the shared `_ONE_POLY` no gcd and
+    no `_canonical` run."""
+    if not num:
+        return ZERO
+    if den is _ONE_POLY:
+        return _make(num, _ONE_POLY)
+    _, num, den = _poly_gcd_cofactors(num, den)
+    return _canonical(num, den)
 
 
 def _poly_render(p: dict[int, Fraction], qname: str = "q", tname: str = "t") -> str:
@@ -212,7 +223,7 @@ class Coeff:
         den = {m: c.numerator * (scale // c.denominator) for m, c in den.items() if c}
         if not den:
             raise CoefficientError("division by zero in Q(q,t)")
-        c = _canonical(num, den, _poly_gcd(num, den))
+        c = _divided(num, den)
         self.num, self.den, self._hash = c.num, c.den, None
 
     # -- constructors ------------------------------------------------------
@@ -268,27 +279,22 @@ class Coeff:
             return self
         da, db = self.den, other.den
         if da == db:
-            num = _poly_add(self.num, other.num)
-            if not num or _poly_is_one(da):
-                return _canonical(num, da, _ONE_POLY)
-            return _canonical(num, da, _poly_gcd(num, da))
-        # reduce against gcd(da, db) only: with na/da and nb/db already in
-        # lowest terms, any common factor of the combined numerator and
+            return _divided(_poly_add(self.num, other.num), da)
+        # reduce against g = gcd(da, db) only: with na/da and nb/db already
+        # in lowest terms, any common factor of the combined numerator and
         # denominator must divide g
-        g = _poly_gcd(da, db)
-        if _poly_is_one(g):
-            num = _poly_add(_poly_mul(self.num, db), _poly_mul(other.num, da))
-            den = _poly_mul(da, db)
-            _bounded(num, den)
-            return _canonical(num, den, _ONE_POLY)
-        da_red = _poly_divexact(da, g)
-        db_red = _poly_divexact(db, g)
+        g, da_red, db_red = _poly_gcd_cofactors(da, db)
         num = _poly_add(_poly_mul(self.num, db_red), _poly_mul(other.num, da_red))
         if not num:
             return ZERO
         den = _poly_mul(da, db_red)
         _bounded(num, den)
-        return _canonical(num, den, _poly_gcd(num, g))
+        if _poly_is_one(g):
+            return _canonical(num, den)
+        h, num, _ = _poly_gcd_cofactors(num, g)
+        if not _poly_is_one(h):
+            den = _poly_divexact(den, h)
+        return _canonical(num, den)
 
     __radd__ = __add__
 
@@ -323,22 +329,18 @@ class Coeff:
             _bounded(num)
             return _make(num, _ONE_POLY)
         # cross-reduce before multiplying to keep intermediates small
-        g1 = _poly_gcd(n1, d2)
-        if not _poly_is_one(g1):
-            n1, d2 = _poly_divexact(n1, g1), _poly_divexact(d2, g1)
-        g2 = _poly_gcd(n2, d1)
-        if not _poly_is_one(g2):
-            n2, d1 = _poly_divexact(n2, g2), _poly_divexact(d1, g2)
+        _, n1, d2 = _poly_gcd_cofactors(n1, d2)
+        _, n2, d1 = _poly_gcd_cofactors(n2, d1)
         num, den = _poly_mul(n1, n2), _poly_mul(d1, d2)
         _bounded(num, den)
-        return _canonical(num, den, _ONE_POLY)
+        return _canonical(num, den)
 
     __rmul__ = __mul__
 
     def _inv(self) -> "Coeff":
         if not self.num:
             raise CoefficientError("division by zero in Q(q,t)")
-        return _canonical(self.den, self.num, _ONE_POLY)
+        return _canonical(self.den, self.num)
 
     def __truediv__(self, other) -> "Coeff":
         other = _coerce(other)
@@ -560,15 +562,6 @@ def _product_den(a: Poly, b: Poly) -> Poly:
     if b is _ONE_POLY:
         return a
     return _poly_mul(a, b)
-
-
-def _divided(num: Poly, den: Poly) -> "Coeff":
-    """num / den in canonical form, for a sum num of products brought over
-    den with its cancelled terms dropped: one gcd, and over the shared
-    `_ONE_POLY` none and no `_canonical`."""
-    if den is _ONE_POLY:
-        return _make(num, _ONE_POLY) if num else ZERO
-    return _canonical(num, den, _poly_gcd(num, den))
 
 
 def _common_denominator(dens: list[Poly]) -> tuple[Poly, list[Poly | None]] | None:

@@ -5,25 +5,26 @@ in row-major lists of Coeff.  Rows and columns are keyed by arbitrary
 hashable labels (partitions in practice); keys travel with the matrix so
 composition and inversion cannot silently misalign bases.
 
-Composition brings each row of the left factor over one denominator D_i
-and each column of the right factor over one denominator E_j, once per
-product (`_lifted`), by the nesting rule of `coeffs.dot`: the
-denominator of highest total degree, times any integer the others need,
-with one exact cofactor per distinct denominator.  A row or column of
-polynomials has denominator 1.  Entry (i, j) is then the sum of the
-lifted numerators' products, added in place in Z[q,t], over D_i * E_j
-and reduced by one gcd, as in Bareiss's fraction-free elimination; over
-denominator 1 it is packaged with no gcd at all.  An entry whose row or
-column does not nest, or whose degree could come near EXP_LIMIT, is one
-`dot` over the pairs of nonzero entries instead.
+Products bring each row of the left factor over one denominator D_i
+and each column of the right factor over one denominator E_j (`_lifted`),
+by the nesting rule of `coeffs.dot`: the denominator of highest total
+degree, times any integer the others need, with one exact cofactor per
+distinct denominator.  A row or column of polynomials has denominator 1,
+and its lifted numerators are the entries' own.  A matrix is not changed
+after it is built, so it lifts its rows and its columns once, on first
+use, and keeps them for every later product it is a factor of.  Entry
+(i, j) is then the sum of the lifted numerators' products, added in
+place in Z[q,t], over D_i * E_j and reduced by one gcd, as in Bareiss's
+fraction-free elimination; over denominator 1 it is packaged with no gcd
+at all (`_composed`).  An entry whose row or column does not nest, or
+whose degree could come near EXP_LIMIT, is one `dot` over the pairs of
+nonzero entries instead.
 
-Matrix-vector products divide once per entry too: each is one `dot`,
-which brings the entry's products over their denominator of highest
-degree, adds the numerators in Z[q,t] and takes one gcd, and adds the
-products one at a time only when a denominator does not divide that
-one.  Applying the matrix to a vector with one nonzero entry sums
-nothing: it scales that column.  Inversion eliminates on the rows of
-[A | I], whose right half ends as the inverse.
+A matrix-vector product is the same with the vector as the one column:
+the vector is brought over one denominator once, and each output entry
+is composed from the kept lifted row.  Applying the matrix to a vector
+with one nonzero entry sums nothing: it scales that column.  Inversion
+eliminates on the rows of [A | I], whose right half ends as the inverse.
 """
 
 from __future__ import annotations
@@ -48,7 +49,15 @@ Key = Hashable
 class CoeffMatrix:
     """A rectangular matrix over Q(q,t) with keyed rows and columns."""
 
-    __slots__ = ("row_keys", "col_keys", "rows", "_row_index", "_col_index")
+    __slots__ = (
+        "row_keys",
+        "col_keys",
+        "rows",
+        "_row_index",
+        "_col_index",
+        "_lifted_rows",
+        "_lifted_cols",
+    )
 
     def __init__(self, row_keys: Iterable[Key], col_keys: Iterable[Key], rows):
         self.row_keys = tuple(row_keys)
@@ -60,6 +69,7 @@ class CoeffMatrix:
             raise ValueError("matrix shape does not match its keys")
         self._row_index = {k: i for i, k in enumerate(self.row_keys)}
         self._col_index = {k: j for j, k in enumerate(self.col_keys)}
+        self._lifted_rows = self._lifted_cols = None
 
     @classmethod
     def identity(cls, keys: Iterable[Key]) -> "CoeffMatrix":
@@ -100,35 +110,35 @@ class CoeffMatrix:
             and self.rows == other.rows
         )
 
+    def _rows_lifted(self) -> list:
+        """`_lifted` of each row, computed on first use and kept."""
+        if self._lifted_rows is None:
+            self._lifted_rows = [_lifted(row) for row in self.rows]
+        return self._lifted_rows
+
+    def _cols_lifted(self) -> list:
+        """Each column as (col, lifted): col lists its nonzero entries as
+        (row index, entry) pairs, and lifted is `_lifted` of those entries;
+        computed on first use and kept."""
+        if self._lifted_cols is None:
+            cols = [
+                [(k, row[j]) for k, row in enumerate(self.rows) if row[j].num]
+                for j in range(len(self.col_keys))
+            ]
+            self._lifted_cols = [(col, _lifted([c for _, c in col])) for col in cols]
+        return self._lifted_cols
+
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
-        """Composition: entry (i, j) over D_i * E_j from the lifted row and
-        column (`_lifted`, `_composed`), or one `dot` over the middle
-        indices where both factors are nonzero when the row or column does
-        not nest or their degrees could reach EXP_LIMIT.  Each right-hand
-        column's nonzero entries are listed once, and an entry with no
-        such index is zero."""
+        """Composition: entry (i, j) from the kept lifted row of self and
+        column of other (`_composed`).  An entry with no middle index
+        where both factors are nonzero is zero."""
         if self.col_keys != other.row_keys:
             raise ValueError("matrix composition with mismatched keys")
-        cols = [
-            [(k, row[j]) for k, row in enumerate(other.rows) if row[j].num]
-            for j in range(len(other.col_keys))
+        cols = other._cols_lifted()
+        rows = [
+            [_composed(left, lifted_row, col, lifted_col) for col, lifted_col in cols]
+            for left, lifted_row in zip(self.rows, self._rows_lifted())
         ]
-        lifted_cols = [_lifted([c for _, c in col]) for col in cols]
-        rows = []
-        for left in self.rows:
-            lifted_row = _lifted(left)
-            out = []
-            for col, lifted_col in zip(cols, lifted_cols):
-                if (
-                    lifted_row is not None
-                    and lifted_col is not None
-                    and lifted_row[2] + lifted_col[2] < EXP_LIMIT
-                ):
-                    out.append(_composed(lifted_row, col, lifted_col))
-                else:
-                    pairs = [(left[k], c) for k, c in col if left[k].num]
-                    out.append(dot(pairs) if pairs else ZERO)
-            rows.append(out)
         return CoeffMatrix(self.row_keys, other.col_keys, rows)
 
     def transpose(self) -> "CoeffMatrix":
@@ -142,7 +152,8 @@ class CoeffMatrix:
         """Matrix-vector product; vectors are sparse dicts on column keys.
 
         A vector with one nonzero entry scales that column, with no sum;
-        otherwise each output entry is one `dot` over the vector's support.
+        otherwise the vector is lifted over one denominator, as a column,
+        and each output entry is `_composed` from the kept lifted row.
         """
         terms = [(ck, v) for ck, v in vector.items() if v.num]
         if len(terms) == 1:
@@ -152,9 +163,10 @@ class CoeffMatrix:
                 return column
             return {rk: e * value for rk, e in column.items()}
         terms = [(self._col_index[ck], v) for ck, v in terms]
+        lifted = _lifted([v for _, v in terms])
         out: dict[Key, Coeff] = {}
-        for rk, row in zip(self.row_keys, self.rows):
-            s = dot([(row[j], value) for j, value in terms])
+        for rk, row, lifted_row in zip(self.row_keys, self.rows, self._rows_lifted()):
+            s = _composed(row, lifted_row, terms, lifted)
             if s.num:
                 out[rk] = s
         return out
@@ -237,18 +249,25 @@ def _lifted(entries: list[Coeff]):
     return top, nums, degree
 
 
-def _composed(row, col: list, lifted_col) -> Coeff:
-    """One entry of a product: the lifted row's numerators times the
-    lifted column's, added in place in Z[q,t], over D_i * E_j.  That
-    denominator is 1 or taken by one gcd; the row's and column's degrees
-    sum below EXP_LIMIT, so no exponent of the sum reaches it."""
+def _composed(left: list, row, col: list, lifted_col) -> Coeff:
+    """One entry of a product of the row `left`, lifted as `row`, and the
+    column whose nonzero entries are the (index, entry) pairs `col`,
+    lifted as `lifted_col`: the lifted numerators' products added in
+    place in Z[q,t], over D_i * E_j.  That denominator is 1 or taken by
+    one gcd; the row's and column's degrees sum below EXP_LIMIT, so no
+    exponent of the sum reaches it.  When either does not nest, or their
+    degrees could reach EXP_LIMIT, the entry is one `dot` over the pairs
+    of nonzero entries instead, and zero when there is none."""
+    if row is None or lifted_col is None or row[2] + lifted_col[2] >= EXP_LIMIT:
+        pairs = [(left[k], c) for k, c in col if left[k].num]
+        return dot(pairs) if pairs else ZERO
     row_den, row_nums, _ = row
     col_den, col_nums, _ = lifted_col
     num: Poly = {}
     for (k, _), right in zip(col, col_nums):
-        left = row_nums[k]
-        if left is not None:
-            _poly_addmul(num, left, right)
+        mine = row_nums[k]
+        if mine is not None:
+            _poly_addmul(num, mine, right)
     if 0 in num.values():
         num = {mono: c for mono, c in num.items() if c}
     return _divided(num, _product_den(row_den, col_den))

@@ -14,16 +14,20 @@ sets bit 19 of its field (a bit of `_BORROW`).  `coeffs` keeps every
 Coeff within the limit; the kernel does not check it.
 
 A polynomial in Z[q,t] is a dict mapping a packed key to a nonzero int.
-Exact division raises ArithmeticError when it is not exact.  `_poly_gcd`
+Exact division raises ArithmeticError when it is not exact.  `_gcd`
 splits off the integer and monomial contents and runs one heuristic GCD
 recursively: evaluating t gives images in Z[q], whose gcd evaluates q to
 integers.  When it gives up, at either level, the primitive remainder
-sequence `_prs_gcd` runs.  A gcd with 1 as either argument is 1.
+sequence `_prs_gcd` runs.  A gcd with 1 as either argument is 1.  The
+gcd g comes with its cofactors a/g and b/g: the heuristic keeps the
+quotients of the trial divisions that verify it, as in Liao and Fateman's
+refinement of GCDHEU, so a caller that reduces a fraction by g divides
+nothing again.  `_poly_gcd` and `_poly_gcd_cofactors` are `_gcd` behind
+one cache.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd as _int_gcd
 
 Poly = dict[int, int]
@@ -137,7 +141,8 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
                 raise ArithmeticError("inexact polynomial division")
             mono_quot[mono] = d
         return mono_quot
-    if len(a) >= _DENSE_MIN_TERMS:
+    # the dense pass needs a nonzero dividend, whatever the threshold
+    if a and len(a) >= _DENSE_MIN_TERMS:
         width = _degree(a, 1) + 1
         size = (_degree(a, 0) + 1) * width
         if size <= _DENSE_FILL * len(a):
@@ -200,7 +205,8 @@ def _dense_divexact(a: Poly, b: Poly, width: int, size: int) -> Poly:
 # ---------------------------------------------------------------------------
 # GCD.  `_gcd` splits off the integer and monomial contents; the primitive
 # parts go to the heuristic GCD and, when it gives up, to `_prs_gcd`.
-# `_poly_gcd` is `_gcd` behind a cache.
+# `_gcd` and `_heugcd` return the gcd with its two cofactors.  `_poly_gcd`
+# and `_poly_gcd_cofactors` are `_gcd` behind one cache.
 
 
 # -- heuristic GCD (GCDHEU, Char-Geddes-Gonnet 1989), recursive over the
@@ -208,11 +214,12 @@ def _dense_divexact(a: Poly, b: Poly, width: int, size: int) -> Poly:
 # q one level down), take the gcd of the images (in Z[q] by `_gcd`, in Z by
 # math.gcd), lift its balanced base-x digits back to powers of v, and
 # accept the primitive part of that candidate only if _poly_divexact
-# divides both inputs by it.  Sound because a verified candidate cannot be
-# a proper divisor of the true GCD once x outgrows the coefficients.  An
-# image has about deg * bits(x) bits, whatever the number of terms, so the
-# heuristic gives up past _HEU_BITS (q^a t^b with a, b near 2^18 would make
-# images of a million bits), as well as after six points.
+# divides both inputs by it; the two quotients are the cofactors.  Sound
+# because a verified candidate cannot be a proper divisor of the true GCD
+# once x outgrows the coefficients.  An image has about deg * bits(x) bits,
+# whatever the number of terms, so the heuristic gives up past _HEU_BITS
+# (q^a t^b with a, b near 2^18 would make images of a million bits), as
+# well as after six points.
 
 _HEU_BITS = 1 << 14
 
@@ -258,13 +265,14 @@ def _int_strip_content(p: Poly) -> Poly:
     return p
 
 
-def _heugcd(f: Poly, g: Poly, v: int) -> Poly | None:
-    """The gcd of nonzero primitive f and g, up to sign, by the heuristic
-    in v (1 for t; 0 for q, when f and g are free of t), or None when it
-    gives up.
+def _heugcd(f: Poly, g: Poly, v: int) -> tuple[Poly, Poly, Poly] | None:
+    """(h, f/h, g/h) for the gcd h of nonzero primitive f and g, up to
+    sign, by the heuristic in v (1 for t; 0 for q, when f and g are free
+    of t), or None when it gives up.
 
     A candidate that lifts to a constant is +1 or -1 once its content is
-    stripped, and is returned as it is, without trial division."""
+    stripped, and is returned as it is, without trial division: its
+    cofactors are f and g times it."""
     # the total degree bounds deg_v, and is deg_q for polynomials free of t
     deg = max(_total_degree(f), _total_degree(g))
     unit = _T if v else _Q
@@ -274,7 +282,7 @@ def _heugcd(f: Poly, g: Poly, v: int) -> Poly | None:
             return None
         fi, gi = _image(f, x, v), _image(g, x, v)
         if fi and gi:
-            image = _gcd(fi, gi, 0) if v else {0: _int_gcd(fi, gi)}
+            image = _gcd(fi, gi, 0)[0] if v else {0: _int_gcd(fi, gi)}
             cand: Poly = {}
             for mono, n in image.items():
                 for e, d in enumerate(_balanced_digits(n, x)):
@@ -282,11 +290,12 @@ def _heugcd(f: Poly, g: Poly, v: int) -> Poly | None:
                         cand[mono + e * unit] = d
             cand = _int_strip_content(cand)
             if _poly_is_const(cand):
-                return cand  # a unit divides both, so needs no trial division
+                # a unit divides both, so needs no trial division
+                if cand[0] == 1:
+                    return cand, f, g
+                return cand, _poly_neg(f), _poly_neg(g)
             try:
-                _poly_divexact(f, cand)
-                _poly_divexact(g, cand)
-                return cand
+                return cand, _poly_divexact(f, cand), _poly_divexact(g, cand)
             except ArithmeticError:
                 pass
         x = x * 73794 // 27011 + 47
@@ -295,7 +304,7 @@ def _heugcd(f: Poly, g: Poly, v: int) -> Poly | None:
 
 # -- primitive remainder sequence: a polynomial in its main variable v (0
 # for q, 1 for t) has coefficients in the other variable, or integers, whose
-# gcd, the content, comes from _poly_gcd one variable down.  Dividing each
+# gcd, the content, comes from `_gcd` one variable down.  Dividing each
 # pseudo-remainder by its content keeps the coefficients small.
 
 
@@ -310,8 +319,20 @@ def _coefficients(p: Poly, v: int) -> dict[int, Poly]:
 
 
 def _content(p: Poly, v: int) -> Poly:
-    """The gcd of p's coefficients in v, up to sign."""
-    return reduce(_poly_gcd, _coefficients(p, v).values())
+    """The gcd of p's coefficients in v, up to sign.  When one of them is
+    a term, so is the gcd: the monomial and integer content of them all.
+    Otherwise `_gcd` folds over them, in the variable they are not free
+    of, until the gcd is 1."""
+    content, *rest = sorted(_coefficients(p, v).values(), key=len)
+    if len(content) == 1:
+        mono = _monomial_content({m for c in rest for m in c} | content.keys())
+        values = (x for c in rest for x in c.values())
+        return {mono: _int_gcd(*content.values(), *values)}
+    for c in rest:
+        if _poly_is_one(content):
+            break
+        content = _gcd(content, c, 1 - v)[0]
+    return content
 
 
 def _poly_prem(f: Poly, g: Poly, v: int) -> Poly:
@@ -350,7 +371,7 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     return _poly_mul(f, _poly_gcd(cont_a, cont_b))
 
 
-_GCD_CACHE: dict[tuple, Poly] = {}
+_GCD_CACHE: dict[tuple, tuple[Poly, Poly, Poly]] = {}
 _GCD_CACHE_LIMIT = 50000
 
 
@@ -363,55 +384,87 @@ def _monomial_content(p: Poly) -> int:
     return eq * _Q + min(mono >> _E & _MASK for mono in p) * _T
 
 
-def _gcd(a: Poly, b: Poly, v: int) -> Poly:
-    """GCD in Z[q,t] of nonzero a and b, with a positive leading
-    coefficient: the gcd of the integer and monomial contents times the gcd
-    of the primitive parts, by `_heugcd` in v (as there) or else by the
-    remainder sequence.  A gcd with 1 as either argument is 1.  The result
-    may be a or b itself."""
+def _term_quotient(p: Poly, mono: int, c: int) -> Poly:
+    """p / (c * mono) for a term c * mono, c > 0, that divides p."""
+    if not mono and c == 1:
+        return p
+    return {m - mono: x // c for m, x in p.items()}
+
+
+def _term_product(p: Poly, mono: int, c: int) -> Poly:
+    """p * (c * mono) for a nonzero term."""
+    if not mono and c == 1:
+        return p
+    return {m + mono: x * c for m, x in p.items()}
+
+
+def _gcd(a: Poly, b: Poly, v: int) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for the GCD g in Z[q,t] of nonzero a and b, with a
+    positive leading coefficient: the gcd of the integer and monomial
+    contents times the gcd of the primitive parts, by `_heugcd` in v (as
+    there) or else by the remainder sequence, which takes the cofactors
+    of the primitive parts by one division each.  A gcd with 1 as either
+    argument is 1.  Any of the three may be a or b itself, or the shared
+    `_ONE_POLY`."""
     if len(a) == 1 or len(b) == 1:
         if _poly_is_one(a) or _poly_is_one(b):
-            return _ONE_POLY
+            return _ONE_POLY, a, b
         # a monomial factor: componentwise minimum exponents
         mono = _monomial_content(a.keys() | b.keys())
         c = _int_gcd(*a.values(), *b.values())
-        return _ONE_POLY if c == 1 and not mono else {mono: c}
+        if c == 1 and not mono:
+            return _ONE_POLY, a, b
+        return {mono: c}, _term_quotient(a, mono, c), _term_quotient(b, mono, c)
     ma, mb = _monomial_content(a), _monomial_content(b)
     ca, cb = _int_gcd(*a.values()), _int_gcd(*b.values())
-    ia = a if not ma and ca == 1 else {mono - ma: c // ca for mono, c in a.items()}
-    ib = b if not mb and cb == 1 else {mono - mb: c // cb for mono, c in b.items()}
+    ia, ib = _term_quotient(a, ma, ca), _term_quotient(b, mb, cb)
     if ia == ib:
-        core = ia
+        core, fa, fb = ia, _ONE_POLY, _ONE_POLY
     else:
-        core = _heugcd(ia, ib, v)
-        if core is None:
+        found = _heugcd(ia, ib, v)
+        if found is None:
             core = _prs_gcd(ia, ib)
+            found = core, _poly_divexact(ia, core), _poly_divexact(ib, core)
+        core, fa, fb = found
+    # g = scale * shift * core, with a = ca * ma * core * fa
     scale = _int_gcd(ca, cb)
     if core[max(core)] < 0:
         scale = -scale
     shift = _monomial_content((ma, mb))
-    if scale == 1 and not shift:
-        return core
-    return {mono + shift: c * scale for mono, c in core.items()}
+    return (
+        _term_product(core, shift, scale),
+        _term_product(fa, ma - shift, ca // scale),
+        _term_product(fb, mb - shift, cb // scale),
+    )
 
 
 def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """`_gcd` of any a and b in Z[q,t], {} when either is zero.  Callers
-    must not mutate the result, which may be an input or shared through the
-    cache, keyed on inputs of two terms or more as flat tuples.  Only these
-    calls and the remainder sequence's contents use the cache: the
-    heuristic's images, which never repeat, go to `_gcd` directly."""
+    """The gcd g of `_gcd` for any a and b in Z[q,t], {} when either is
+    zero; as `_poly_gcd_cofactors`, from the same cache."""
     if not a or not b:
         return {}
+    return _poly_gcd_cofactors(a, b)[0]
+
+
+def _poly_gcd_cofactors(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """`_gcd(a, b)`, (g, a/g, b/g), of nonzero a and b.  Callers must not
+    mutate the results, which may be inputs or shared through the cache.
+    The cache is keyed on inputs of two terms or more as a pair of flat
+    tuples in sorted order, and holds the cofactors in the key's order:
+    a call with its inputs the other way round gets them swapped.  Only
+    these calls and the remainder sequence's final gcd of contents use
+    the cache: the heuristic's images, which never repeat, and the folds
+    over a polynomial's coefficients go to `_gcd` directly."""
     if len(a) == 1 or len(b) == 1:
         return _gcd(a, b, 1)
     fa, fb = _flat(a), _flat(b)
-    key = (fa, fb) if fa <= fb else (fb, fa)
-    cached = _GCD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _gcd(a, b, 1)
-    if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = out
-    return out
+    swap = fb < fa
+    key = (fb, fa) if swap else (fa, fb)
+    found = _GCD_CACHE.get(key)
+    if found is None:
+        found = _gcd(b, a, 1) if swap else _gcd(a, b, 1)
+        if len(_GCD_CACHE) >= _GCD_CACHE_LIMIT:
+            _GCD_CACHE.clear()
+        _GCD_CACHE[key] = found
+    g, first, second = found
+    return (g, second, first) if swap else found

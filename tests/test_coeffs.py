@@ -179,7 +179,7 @@ def test_powers_take_no_gcd(monkeypatch):
     exponents = (2, 3, 7, 8, -2, -7)
     base = (1 + Q * T) / (1 - T)
     with monkeypatch.context() as m:
-        m.setattr(coeffs, "_poly_gcd", no_gcd)
+        m.setattr(coeffs, "_poly_gcd_cofactors", no_gcd)
         powers = [[base**n for n in exponents if base or n > 0] for base in _POWER_BASES]
         # a gcd per squaring would cost about a second here
         big = base**200
@@ -462,7 +462,9 @@ def test_prs_gcd_agrees_with_heuristic_gcd(f, g, h):
     for factor in (a, b):
         _poly_divexact(factor, _int_strip_content(slow))  # raises unless exact
     if fast is not None:
-        assert _same_up_to_sign(_int_strip_content(slow), fast)
+        h, cf_a, cf_b = fast
+        assert _same_up_to_sign(_int_strip_content(slow), h)
+        assert _poly_mul(h, cf_a) == a and _poly_mul(h, cf_b) == b
 
 
 def _gcd_workload():
@@ -527,22 +529,22 @@ def test_heuristic_gcd_candidate_must_divide_both_inputs(monkeypatch):
     divisors = _divisors_tried(monkeypatch)
     one_plus_q = _packed({(0, 0): 1, (1, 0): 1})
     f, g = _in_q({1: 1, 0: 33}), _in_q({1: 1, 0: 1})
-    assert _heugcd(f, g, 0) == _packed({(0, 0): 1})
-    assert _heugcd(g, f, 0) == _packed({(0, 0): 1})
+    assert _heugcd(f, g, 0) == (_packed({(0, 0): 1}), f, g)
+    assert _heugcd(g, f, 0) == (_packed({(0, 0): 1}), g, f)
     assert divisors == [one_plus_q, one_plus_q, one_plus_q]
     divisors.clear()
     f = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 33}))
     g = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 1}))
-    assert _heugcd(f, g, 1) == one_plus_q
-    assert _heugcd(g, f, 1) == one_plus_q
+    assert _heugcd(f, g, 1)[0] == one_plus_q
+    assert _heugcd(g, f, 1)[0] == one_plus_q
     rejected = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 1}))
     assert divisors[0] == rejected and rejected not in divisors[-2:]
     # at x = 31 the image of x - 31 is zero: that point is skipped, with
     # no candidate to try, at either level
     divisors.clear()
-    assert _heugcd(_in_q({1: 1, 0: -31}), _in_q({1: 1, 0: 1}), 0) == _in_q({0: 1})
+    assert _heugcd(_in_q({1: 1, 0: -31}), _in_q({1: 1, 0: 1}), 0)[0] == _in_q({0: 1})
     f = _packed({(0, 1): 1, (0, 0): -31})
-    assert _heugcd(f, _packed({(0, 1): 1, (0, 0): 1}), 1) == _in_q({0: 1})
+    assert _heugcd(f, _packed({(0, 1): 1, (0, 0): 1}), 1)[0] == _in_q({0: 1})
     assert divisors == []
 
 
@@ -1082,12 +1084,14 @@ def test_dot_with_a_unit_denominator_that_is_not_the_shared_one():
 
 def _assert_constant_candidate_taken(monkeypatch, f, g, v):
     want = _heugcd(f, g, v)
-    assert want == _packed({(0, 0): 1})
+    assert want == (_packed({(0, 0): 1}), f, g)
     monkeypatch.setattr(poly, "_poly_divexact", _refuse_division)
     assert _heugcd(f, g, v) == want
-    # a lifted -1 keeps its sign, as the two divisions by -1 would
+    # a lifted -1 keeps its sign, as the two divisions by -1 would, and
+    # so do the cofactors
     monkeypatch.setattr(poly, "_balanced_digits", lambda n, x: [-1])
-    assert _heugcd(f, g, v) == _packed({(0, 0): -1})
+    minus = {mono: -c for mono, c in f.items()}, {mono: -c for mono, c in g.items()}
+    assert _heugcd(f, g, v) == (_packed({(0, 0): -1}), *minus)
     # and _poly_gcd turns the sign into a positive gcd
     monkeypatch.setattr(poly, "_GCD_CACHE", {})
     assert _poly_gcd(f, g) == _packed({(0, 0): 1})
@@ -1114,13 +1118,144 @@ def test_heuristic_gcd_divides_by_a_nonconstant_candidate(monkeypatch):
     one_plus_q = _packed({(0, 0): 1, (1, 0): 1})
     f = _poly_mul(one_plus_q, _in_q({2: 1, 0: 2}))
     g = _poly_mul(one_plus_q, _in_q({1: 2, 0: -3}))
-    assert _heugcd(f, g, 0) == one_plus_q
+    assert _heugcd(f, g, 0) == (one_plus_q, _in_q({2: 1, 0: 2}), _in_q({1: 2, 0: -3}))
     assert divisors == [one_plus_q, one_plus_q]
     divisors.clear()
     f = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 2}))
     g = _poly_mul(one_plus_q, _packed({(0, 1): 1, (0, 0): 3}))
-    assert _heugcd(f, g, 1) == one_plus_q
+    assert _heugcd(f, g, 1) == (
+        one_plus_q,
+        _packed({(0, 1): 1, (0, 0): 2}),
+        _packed({(0, 1): 1, (0, 0): 3}),
+    )
     assert divisors == [one_plus_q, one_plus_q]
+
+
+# -- the gcd returns its cofactors: g * (a/g) == a and g * (b/g) == b on
+# every branch of `_gcd`, and the cache swaps them with its key
+
+
+def _branches_taken(monkeypatch) -> list:
+    """Spy on `_heugcd` and `_prs_gcd`: the names of those that ran."""
+    taken = []
+    for name in ("_heugcd", "_prs_gcd"):
+        kernel = getattr(poly, name)
+
+        def spy(*args, name=name, kernel=kernel):
+            taken.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(poly, name, spy)
+    return taken
+
+
+def _assert_cofactors(a, b):
+    """The gcd and its cofactors, on a fresh cache: g * (a/g) == a, g *
+    (b/g) == b, and g is `_poly_gcd`'s, with a positive leading
+    coefficient."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_GCD_CACHE", {})
+        g, cf_a, cf_b = poly._poly_gcd_cofactors(a, b)
+        assert g == _poly_gcd(a, b) and g[max(g)] > 0
+    assert _poly_mul(g, cf_a) == a and _poly_mul(g, cf_b) == b
+    return g, cf_a, cf_b
+
+
+_F_G = _poly_mul(F_COMMON, G_COPRIME)
+_F_H = _poly_mul(F_COMMON, H_COPRIME)
+_TWO_Q = _int_poly(q=2)
+_GCD_BRANCHES = {
+    # (a, b, their gcd, whether the heuristic runs)
+    "unit": (_int_poly(**{"1": 1}), _F_G, _int_poly(**{"1": 1}), False),
+    "term": (_int_poly(**{"q^2_t": 6}), _poly_mul(_TWO_Q, G_COPRIME), _TWO_Q, False),
+    "contents": (
+        _poly_mul(_TWO_Q, _F_G),
+        _poly_mul(_int_poly(**{"q^3_t": -6}), _F_H),
+        _poly_mul(_TWO_Q, F_COMMON),
+        True,
+    ),
+    "equal primitive parts": (
+        _poly_mul(_int_poly(**{"1": 3}), F_COMMON),
+        _poly_mul(_int_poly(**{"q_t": 2}), F_COMMON),
+        F_COMMON,
+        False,
+    ),
+    "constant candidate": (_F_G, H_COPRIME, _int_poly(**{"1": 1}), True),
+    "nonconstant candidate": (_F_G, _F_H, F_COMMON, True),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_GCD_BRANCHES))
+@pytest.mark.parametrize("forced", [False, True], ids=["heuristic", "remainders"])
+def test_gcd_cofactors_on_every_branch(monkeypatch, branch, forced):
+    a, b, want, heuristic = _GCD_BRANCHES[branch]
+    if forced:
+        monkeypatch.setattr(poly, "_heugcd", lambda f, g, v: None)
+    taken = _branches_taken(monkeypatch)
+    minus_a, minus_b = ({m: -c for m, c in p.items()} for p in (a, b))
+    for x, y in ((a, b), (b, a), (minus_a, minus_b)):
+        taken.clear()
+        g, cf_x, cf_y = _assert_cofactors(x, y)
+        assert g == want
+        if not heuristic:
+            assert taken == []
+        elif forced:
+            assert taken[:2] == ["_heugcd", "_prs_gcd"]
+        else:
+            assert taken[0] == "_heugcd" and "_prs_gcd" not in taken
+        # a unit gcd found without division hands back the inputs themselves
+        if want == _int_poly(**{"1": 1}) and not forced:
+            assert cf_x is x and cf_y is y
+
+
+# with monomial contents, which int_polys leaves out
+int_polys_qt = st.dictionaries(exponents, int_coeffs, min_size=1, max_size=3).map(
+    _packed
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_polys_qt, int_polys_qt, int_polys_qt, st.booleans())
+def test_gcd_cofactors_match_sympy_cancel(f, g, h, forced):
+    # a/g and b/g are a / b in lowest terms over Z[q,t]: the fraction
+    # sympy's cancel gives, and coprime, integer contents included
+    sympy = pytest.importorskip("sympy")
+    q, t = sympy.symbols("q t")
+    a, b = _poly_mul(f, g), _poly_mul(f, h)
+    with pytest.MonkeyPatch.context() as mp:
+        if forced:
+            mp.setattr(poly, "_heugcd", lambda f, g, v: None)
+        _, cf_a, cf_b = _assert_cofactors(a, b)
+
+    def expr(p):
+        return sum(c * q**eq * t**et for (eq, et), c in _pairs(p).items())
+
+    c, num, den = sympy.cancel((expr(a), expr(b)))
+    assert sympy.expand(expr(cf_a) * den - c * num * expr(cf_b)) == 0
+    assert sympy.gcd(expr(cf_a), expr(cf_b)) in (1, -1)
+
+
+def test_gcd_cache_swaps_cofactors_with_its_key(monkeypatch):
+    # one entry serves both orders of the inputs: the hit computes nothing
+    # and returns the stored cofactors, swapped when the key is
+    calls = []
+    kernel = poly._gcd
+
+    def counted(a, b, v):
+        calls.append(v)
+        return kernel(a, b, v)
+
+    monkeypatch.setattr(poly, "_gcd", counted)
+    for a, b in ((_F_G, _F_H), (_F_H, _F_G)):
+        monkeypatch.setattr(poly, "_GCD_CACHE", {})
+        g, cf_a, cf_b = poly._poly_gcd_cofactors(a, b)
+        assert calls.count(1) == 1 and len(poly._GCD_CACHE) == 1
+        calls.clear()
+        again = poly._poly_gcd_cofactors(b, a)
+        assert again[0] is g and again[1] is cf_b and again[2] is cf_a
+        assert poly._poly_gcd_cofactors(a, b) == (g, cf_a, cf_b)
+        assert calls == [] and len(poly._GCD_CACHE) == 1
+        assert _poly_mul(g, cf_a) == a and _poly_mul(g, cf_b) == b
 
 
 # -- the packed-monomial kernel: a key per monomial, a dense and a sparse

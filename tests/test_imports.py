@@ -31,13 +31,8 @@ def test_every_module_imports_only_the_standard_library_and_qtsym():
             assert name == "qtsym" or name in sys.stdlib_module_names, path.name
 
 
-def test_cli_eval_leaves_ribbons_llt_and_rigged_unimported():
-    script = (
-        "import sys\n"
-        "from qtsym.cli import main\n"
-        "code = main(['eval', 'to_m(McdP[2,1])'])\n"
-        "print(code, *sorted(sys.modules))\n"
-    )
+def _loaded_after(script: str) -> list[str]:
+    """The last line a fresh interpreter prints for script, split."""
     path = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
     )
@@ -48,6 +43,19 @@ def test_cli_eval_leaves_ribbons_llt_and_rigged_unimported():
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
-    code, *loaded = run.stdout.splitlines()[-1].split()
+    return run.stdout.splitlines()[-1].split()
+
+
+def test_cli_eval_leaves_ribbons_llt_and_rigged_unimported():
+    code, *loaded = _loaded_after(
+        "import sys\n"
+        "from qtsym.cli import main\n"
+        "code = main(['eval', 'to_m(McdP[2,1])'])\n"
+        "print(code, *sorted(sys.modules))\n"
+    )
     assert code == "0" and "qtsym.algebra" in loaded
     assert not {"qtsym.ribbons", "qtsym.llt", "qtsym.rigged"} & set(loaded)
+    # json is loaded only by the --format json branches, unless the
+    # interpreter itself starts with it (a site hook may import it)
+    bare = _loaded_after("import sys\nprint(*sorted(sys.modules))\n")
+    assert "json" not in loaded or "json" in bare

@@ -1,6 +1,7 @@
 """Keyed matrices: composition, transpose, exact inversion."""
 
 import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -358,3 +359,111 @@ def test_compose_at_the_exponent_limit_raises_as_running_sum(left, right):
     a = CoeffMatrix(a.row_keys, a.col_keys, [[left[0][0] / Q, left[0][1]]])
     b = CoeffMatrix(b.row_keys, b.col_keys, [[right[0][0] / Q], right[1]])
     assert a @ b == _running_sum_matmul(a, b)
+
+
+# -- each matrix keeps its lifted rows and columns: computed on first use,
+# reused by every later product, copied and pickled along, and never part
+# of equality
+
+
+def _counted_lifts(monkeypatch) -> list:
+    calls = []
+    kernel = linalg._lifted
+
+    def counted(entries):
+        calls.append(1)
+        return kernel(entries)
+
+    monkeypatch.setattr(linalg, "_lifted", counted)
+    return calls
+
+
+def test_a_factor_lifts_its_rows_and_columns_once(monkeypatch):
+    rng = random.Random(21)
+    keys = range(4)
+    m, a, b = (
+        _random_sparse(rng, keys, keys, values=_KINDS["nested"]) for _ in range(3)
+    )
+    calls = _counted_lifts(monkeypatch)
+    products = [m @ a, m @ b, a @ m, b @ m, m @ m]
+    assert products == [
+        _running_sum_matmul(x, y) for x, y in ((m, a), (m, b), (a, m), (b, m), (m, m))
+    ]
+    # the rows of m, a, b and the columns of a, m, b: 4 lifts each
+    assert len(calls) == 6 * 4
+    calls.clear()
+    vector = {k: v for k, v in zip(keys, (ONE / 2, T / (1 - T), ZERO, Q))}
+    assert m.apply(vector) == _running_sum_apply(m, vector)
+    assert m @ a == products[0] and len(calls) == 1  # the vector's own
+
+
+def test_kept_lifts_survive_deep_copies_and_pickles():
+    rng = random.Random(22)
+    for kind in sorted(_KINDS):
+        a = _random_sparse(rng, range(4), range(3), {0}, {2}, _KINDS[kind])
+        b = _random_sparse(rng, range(3), range(4), {1}, {0}, _KINDS[kind])
+        want = a @ b  # fills a's rows and b's columns
+        assert want == _running_sum_matmul(a, b)
+        for copied in (copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))):
+            a2, b2 = copied(a), copied(b)
+            assert a2 == a and b2 == b
+            assert a2 @ b2 == want
+            assert b2 @ a2 == _running_sum_matmul(b, a)
+            vector = dict(zip(range(3), _KINDS[kind]))
+            assert a2.apply(vector) == _running_sum_apply(a, vector)
+
+
+def test_apply_on_rows_that_do_not_nest_is_the_running_sum(monkeypatch):
+    seen = []
+    kernel = linalg.dot
+
+    def spy(pairs):
+        seen.append(1)
+        return kernel(pairs)
+
+    monkeypatch.setattr(linalg, "dot", spy)
+    rng = random.Random(23)
+    for kind in sorted(_KINDS):
+        m = _random_sparse(rng, range(5), range(4), values=_KINDS["unnested"])
+        for _ in range(6):
+            vector = {j: rng.choice(_KINDS[kind]) for j in range(4)}
+            assert m.apply(vector) == _running_sum_apply(m, vector)
+    assert seen
+
+
+def test_apply_at_the_exponent_limit_is_the_running_sum(monkeypatch):
+    # rows whose degree, with the vector's, could reach EXP_LIMIT: each
+    # such entry is one dot, which raises exactly where the running sum
+    # does, and equals it where that sum stays within the limit
+    seen = []
+    kernel = linalg.dot
+
+    def spy(pairs):
+        seen.append(1)
+        return kernel(pairs)
+
+    monkeypatch.setattr(linalg, "dot", spy)
+    rows = [[Q**_HALF / (1 - T), ONE / (1 - T) ** 2], [ONE, T]]
+    m = CoeffMatrix(("x", "y"), ("u", "v"), rows)
+    vector = {"u": Q**_HALF, "v": T}
+    with pytest.raises(CoefficientError) as expected:
+        _running_sum_apply(m, vector)
+    with pytest.raises(CoefficientError) as got:
+        m.apply(vector)
+    assert str(got.value) == str(expected.value)
+    assert "must stay below 524288" in str(got.value)
+    seen.clear()
+    vector = {"u": Q ** (_HALF - 1), "v": T}
+    assert m.apply(vector) == _running_sum_apply(m, vector)
+    assert seen == [1]  # row x; row y is composed from its lifted form
+
+
+def test_equality_ignores_the_kept_lifts():
+    rng = random.Random(24)
+    a = _random_sparse(rng, range(3), range(3), values=_KINDS["nested"])
+    b = CoeffMatrix(a.row_keys, a.col_keys, a.rows)
+    a @ a
+    assert a._lifted_rows is not None and b._lifted_rows is None
+    assert a == b and b == a
+    b @ a
+    assert b == a and b == copy.deepcopy(a)
