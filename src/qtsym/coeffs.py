@@ -37,8 +37,13 @@ den, so it takes no polynomial gcd, no polynomial product and no
 Powers square num and den in Z[q,t] with no gcd: the powers of a
 coprime pair stay coprime.
 
-`dot`, the sum of products behind matrix-vector products and the
-entries of matrix products whose denominators do not nest, adds each
+Every gcd comes with its cofactors (`poly._poly_gcd_cofactors`), which
+the gcd has already computed to verify itself.  Reducing num/den
+(`_divided`), cross-reducing a product and bringing two denominators of
+a sum together take those quotients, so no gcd divides anything twice.
+
+`dot`, the sum of products behind the entries of matrix and
+matrix-vector products whose denominators do not nest, adds each
 product into one running numerator in place (`_poly_addmul`) and drops
 the cancelled terms once at the end.  It recognises a unit denominator
 by identity with the shared `_ONE_POLY`, which `_make` stores for every

@@ -249,19 +249,23 @@ def _lifted(entries: list[Coeff]):
     return top, nums, degree
 
 
-def _composed(left: list, row, col: list, lifted_col) -> Coeff:
-    """One entry of a product of the row `left`, lifted as `row`, and the
-    column whose nonzero entries are the (index, entry) pairs `col`,
+def _composed(left: list, lifted_row, col: list, lifted_col) -> Coeff:
+    """One entry of a product of the row `left`, lifted as `lifted_row`, and
+    the column whose nonzero entries are the (index, entry) pairs `col`,
     lifted as `lifted_col`: the lifted numerators' products added in
     place in Z[q,t], over D_i * E_j.  That denominator is 1 or taken by
     one gcd; the row's and column's degrees sum below EXP_LIMIT, so no
     exponent of the sum reaches it.  When either does not nest, or their
     degrees could reach EXP_LIMIT, the entry is one `dot` over the pairs
     of nonzero entries instead, and zero when there is none."""
-    if row is None or lifted_col is None or row[2] + lifted_col[2] >= EXP_LIMIT:
+    if (
+        lifted_row is None
+        or lifted_col is None
+        or lifted_row[2] + lifted_col[2] >= EXP_LIMIT
+    ):
         pairs = [(left[k], c) for k, c in col if left[k].num]
         return dot(pairs) if pairs else ZERO
-    row_den, row_nums, _ = row
+    row_den, row_nums, _ = lifted_row
     col_den, col_nums, _ = lifted_col
     num: Poly = {}
     for (k, _), right in zip(col, col_nums):
