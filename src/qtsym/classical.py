@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import sub
 
-from .coeffs import ONE, Coeff
+from .coeffs import Coeff
 from .partitions import Partition, distinct_permutations, partitions_of
 from .tableaux import kostka_number
 
@@ -71,25 +71,27 @@ def _margin_matrix_count(rows: tuple[int, ...], cols: tuple[int, ...], zero_one:
     """
     if not rows:
         return 1 if all(c == 0 for c in cols) else 0
-    first, rest = rows[0], rows[1:]
+    return _first_row_fillings(rows[1:], cols, zero_one, 0, rows[0], [])
+
+
+def _first_row_fillings(
+    rest, cols, zero_one: bool, idx: int, remaining: int, current: list[int]
+) -> int:
+    """The matrices counted by _margin_matrix_count whose first row starts
+    with `current` and puts `remaining` more in columns idx, idx+1, ..."""
+    if idx == len(cols):
+        if remaining:
+            return 0
+        reduced = sorted(filter(None, map(sub, cols, current)), reverse=True)
+        return _margin_matrix_count(rest, tuple(reduced), zero_one)
+    top = min(remaining, cols[idx])
+    if zero_one:
+        top = min(top, 1)
     total = 0
-
-    def fill(idx: int, remaining: int, current: list[int]):
-        nonlocal total
-        if idx == len(cols):
-            if remaining == 0:
-                reduced = sorted(filter(None, map(sub, cols, current)), reverse=True)
-                total += _margin_matrix_count(rest, tuple(reduced), zero_one)
-            return
-        top = min(remaining, cols[idx])
-        if zero_one:
-            top = min(top, 1)
-        for x in range(top + 1):
-            current.append(x)
-            fill(idx + 1, remaining - x, current)
-            current.pop()
-
-    fill(0, first, [])
+    for x in range(top + 1):
+        current.append(x)
+        total += _first_row_fillings(rest, cols, zero_one, idx + 1, remaining - x, current)
+        current.pop()
     return total
 
 
@@ -150,36 +152,34 @@ def _lr_fillings(lam: Partition, mu: Partition, nu: Partition) -> int:
         for r in range(rows)
         for c in range(nu.parts[r] - 1, inner[r] - 1, -1)
     ]
-    used = [0] * len(mu)
-    grid: dict[tuple[int, int], int] = {}
+    return _count_lr_fillings(cells, inner, mu.parts, [0] * len(mu), {}, 0)
+
+
+def _count_lr_fillings(cells, inner, content, used, grid, idx: int) -> int:
+    """The lattice fillings of cells[idx:] that extend `grid`, in which
+    letter i has been used used[i-1] times of content[i-1]."""
+    if idx == len(cells):
+        return 1
+    r, c = cells[idx]
+    right = grid.get((r, c + 1))
+    above = grid.get((r - 1, c)) if r and c >= inner[r - 1] else None
     total = 0
-
-    def rec(idx: int):
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        right = grid.get((r, c + 1))
-        above = grid.get((r - 1, c)) if r and c >= inner[r - 1] else None
-        for letter in range(1, len(mu) + 1):
-            if used[letter - 1] == mu.parts[letter - 1]:
-                continue
-            # a lattice violation can only appear right after placing a
-            # letter, so checking the prefix counts here is enough
-            if letter > 1 and used[letter - 2] <= used[letter - 1]:
-                continue
-            if right is not None and letter > right:
-                continue
-            if above is not None and letter <= above:
-                continue
-            grid[(r, c)] = letter
-            used[letter - 1] += 1
-            rec(idx + 1)
-            used[letter - 1] -= 1
-            del grid[(r, c)]
-
-    rec(0)
+    for letter in range(1, len(content) + 1):
+        if used[letter - 1] == content[letter - 1]:
+            continue
+        # a lattice violation can only appear right after placing a
+        # letter, so checking the prefix counts here is enough
+        if letter > 1 and used[letter - 2] <= used[letter - 1]:
+            continue
+        if right is not None and letter > right:
+            continue
+        if above is not None and letter <= above:
+            continue
+        grid[(r, c)] = letter
+        used[letter - 1] += 1
+        total += _count_lr_fillings(cells, inner, content, used, grid, idx + 1)
+        used[letter - 1] -= 1
+        del grid[(r, c)]
     return total
 
 

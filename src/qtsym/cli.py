@@ -3,7 +3,8 @@
 Subcommands: eval (expression language), partitions, tableaux, ribbons,
 rc, kostka, genkostka, llt, bases.  Every subcommand accepts
 ``--format text|json``.  Exit codes: 0 success, 1 user error (bad
-syntax, bad input, precondition violations), 2 internal failure.
+syntax, bad input, precondition violations, and a reader that closes
+the output pipe early), 2 internal failure.
 ``partitions N`` lists at most N = MAX_PARTITIONS_N = 46 (105,558
 partitions, about 2 s); a larger N is a user error raised before listing.
 The ribbon, LLT and rigged-configuration modules are imported inside the
@@ -14,6 +15,7 @@ subcommands that use them, and json inside ``_print_json``, so a text
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .algebra import SymElement, SymmetricFunctions
@@ -295,8 +297,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if code == 2 else int(code)
     try:
         _COMMANDS[args.command](args)
+        sys.stdout.flush()
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left (as `qtsym partitions 40 | head -1` does): send
+        # what is still buffered to devnull, so the flush at exit cannot
+        # fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is internal
         print(f"internal error: {exc}", file=sys.stderr)

@@ -485,23 +485,24 @@ def _poly_power(p: Poly, n: int) -> Poly:
     return result
 
 
+def _power(powers: list, base: Coeff, n: int) -> Coeff:
+    """base^n, extending powers = [base^0, base^1, ...] as far as n."""
+    while len(powers) <= n:
+        powers.append(powers[-1] * base)
+    return powers[n]
+
+
 def _poly_eval(p: Poly, qv: Coeff, tv: Coeff) -> Coeff:
     total = ZERO
-    q_pows: dict[int, Coeff] = {0: ONE}
-    t_pows: dict[int, Coeff] = {0: ONE}
-
-    def power(cache, base, n):
-        if n not in cache:
-            cache[n] = power(cache, base, n - 1) * base
-        return cache[n]
-
+    q_pows = [ONE]
+    t_pows = [ONE]
     for mono, c in p.items():
         eq, et = _unpack(mono)
         term = Coeff.from_value(c)
         if eq:
-            term = term * power(q_pows, qv, eq)
+            term = term * _power(q_pows, qv, eq)
         if et:
-            term = term * power(t_pows, tv, et)
+            term = term * _power(t_pows, tv, et)
         total = total + term
     return total
 

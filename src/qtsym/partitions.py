@@ -110,16 +110,23 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n in decreasing lexicographic order."""
     if n < 0:
         raise PartitionError("partitions are defined for nonnegative sizes")
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first, *rest)
-
-    return tuple(Partition(parts) for parts in rec(n, n))
+    parts = [n] if n else []
+    out = []
+    while True:
+        out.append(Partition(parts))
+        # the next partition lowers the last part above 1 by one and
+        # refills the cells after it greedily with parts of that size
+        freed = 0
+        while parts and parts[-1] == 1:
+            freed += parts.pop()
+        if not parts:
+            return tuple(out)
+        freed += parts[-1]
+        size = parts.pop() - 1
+        whole, rest = divmod(freed, size)
+        parts += [size] * whole
+        if rest:
+            parts.append(rest)
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
@@ -157,21 +164,25 @@ def horizontal_strip_extensions(
         caps.append(cap)
 
     results: list[Partition] = []
-
-    def rec(i: int, remaining: int, chosen: list[int]):
-        if i == rows:
-            if remaining == 0:
-                results.append(Partition([c for c in chosen if c]))
-            return
-        low = old[i]
-        high = remaining + low if caps[i] is None else min(caps[i], remaining + low)
-        for new_len in range(low, high + 1):
-            chosen.append(new_len)
-            rec(i + 1, remaining - (new_len - low), chosen)
-            chosen.pop()
-
-    rec(0, cells, [])
+    _add_strip_rows(old, caps, 0, cells, [], results)
     return results
+
+
+def _add_strip_rows(
+    old, caps, i: int, remaining: int, chosen: list[int], results: list
+) -> None:
+    """Append each partition whose rows i, i+1, ... take `remaining` more
+    cells past `old` within `caps`, row i's length tried in increasing order."""
+    if i == len(old):
+        if remaining == 0:
+            results.append(Partition([c for c in chosen if c]))
+        return
+    low = old[i]
+    high = remaining + low if caps[i] is None else min(caps[i], remaining + low)
+    for new_len in range(low, high + 1):
+        chosen.append(new_len)
+        _add_strip_rows(old, caps, i + 1, remaining - (new_len - low), chosen, results)
+        chosen.pop()
 
 
 def is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
@@ -187,24 +198,21 @@ def is_horizontal_strip(inner: Partition, outer: Partition) -> bool:
 
 
 def distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All distinct rearrangements of a multiset of integers."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts)
-    n = len(values)
-    current: list[int] = []
-
-    def rec():
-        if len(current) == n:
-            yield tuple(current)
+    """All distinct rearrangements of a multiset of integers, in
+    increasing lexicographic order."""
+    current = sorted(values)
+    n = len(current)
+    while True:
+        yield tuple(current)
+        # the next one raises the last position i that can grow to the
+        # least larger value after it, and sorts the tail after i
+        i = n - 2
+        while i >= 0 and current[i] >= current[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                current.append(k)
-                yield from rec()
-                current.pop()
-                counts[k] += 1
-
-    yield from rec()
+        j = n - 1
+        while current[j] <= current[i]:
+            j -= 1
+        current[i], current[j] = current[j], current[i]
+        current[i + 1 :] = current[:i:-1]

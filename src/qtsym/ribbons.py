@@ -24,8 +24,11 @@ number of entries over all tables (_STRIP_TABLE_LIMIT), past which all
 of them are dropped.
 
 Listing follows a strip only when its end state can still be completed
-by the remaining letters, which a liveness memo per call decides; a
-partial tableau that cannot be finished is never built.  A listed
+by the remaining letters, which _alive decides with a liveness memo that
+each listing makes and passes down; a partial tableau that cannot be
+finished is never built.  The recursive helpers are module functions
+that take their state as arguments, so a call's memos are freed as soon
+as it returns.  A listed
 tableau keeps its start beads, the moves of each letter's strip as the
 table holds them, and its spin summed from the strips' totals; its
 cells and chain of partitions are built on first access.
@@ -208,29 +211,30 @@ def _strip_moves(
     (bead tuple after the move, spin), with source positions strictly
     increasing.  Every move is pruned against `cap`.
     """
-    size = len(beads)
     out: list = []
-    moves: list[tuple[tuple[int, ...], int]] = []
-
-    def rec(cur: tuple[int, ...], first: int, left: int):
-        if left == 0:
-            out.append((cur, list(moves)))
-            return
-        # beads at index >= first lie above the previous source
-        for i in range(first, size):
-            target = cur[i] + k
-            j = bisect_left(cur, target, i)
-            if j < size and cur[j] == target:
-                continue
-            nxt = cur[:i] + cur[i + 1 : j] + (target,) + cur[j:]
-            if not all(map(le, nxt, cap)):
-                continue
-            moves.append((nxt, j - i - 1))
-            rec(nxt, i, left - 1)
-            moves.pop()
-
-    rec(beads, 0, count)
+    _add_strips(beads, 0, count, k, cap, [], out)
     return out
+
+
+def _add_strips(cur, first: int, left: int, k: int, cap, moves: list, out: list) -> None:
+    """Append to `out` each way to add `left` more ribbons to `cur`, from
+    sources at index first or above, after `moves`."""
+    if left == 0:
+        out.append((cur, list(moves)))
+        return
+    size = len(cur)
+    # beads at index >= first lie above the previous source
+    for i in range(first, size):
+        target = cur[i] + k
+        j = bisect_left(cur, target, i)
+        if j < size and cur[j] == target:
+            continue
+        nxt = cur[:i] + cur[i + 1 : j] + (target,) + cur[j:]
+        if not all(map(le, nxt, cap)):
+            continue
+        moves.append((nxt, j - i - 1))
+        _add_strips(nxt, i, left - 1, k, cap, moves, out)
+        moves.pop()
 
 
 def _ribbon_size(k) -> int:
@@ -304,34 +308,43 @@ def ribbon_tableaux(
     strips = _strip_table(k, cap)
     live: dict[tuple[tuple[int, ...], int], bool] = {}
     out: list[RibbonTableau] = []
-
-    def alive(beads, letter) -> bool:
-        # after the last letter the strips hold |cap| cells inside cap,
-        # so they cover it
-        if letter == len(weight):
-            return True
-        key = (beads, letter)
-        found = live.get(key)
-        if found is None:
-            found = live[key] = any(
-                alive(end, letter + 1) for end, _, _ in strips(beads, weight[letter])
-            )
-        return found
-
-    def rec(beads, letter, spin):
-        if letter == len(weight):  # every cell of the shape is covered
-            out.append(RibbonTableau._listed(k, shape, weight, start, tuple(path), spin))
-            return
-        for end, shift, moves in strips(beads, weight[letter]):
-            if alive(end, letter + 1):
-                path.append(moves)
-                rec(end, letter + 1, spin + shift)
-                path.pop()
-
-    path: list[tuple] = []  # the moves of each letter's strip so far
-    if alive(start, 0):
-        rec(start, 0, 0)
+    if _alive(strips, weight, live, start, 0):
+        listed = (k, shape, weight, start)
+        _add_tableaux(strips, weight, live, listed, start, 0, 0, [], out)
     return out
+
+
+def _alive(strips, weight, live: dict, beads, letter: int) -> bool:
+    """Whether the strips of letters letter, letter + 1, ... can go on from
+    beads to the shape; `live` memoizes the answers of one listing."""
+    # after the last letter the strips hold |cap| cells inside cap, so they
+    # cover it
+    if letter == len(weight):
+        return True
+    key = (beads, letter)
+    found = live.get(key)
+    if found is None:
+        found = live[key] = any(
+            _alive(strips, weight, live, end, letter + 1)
+            for end, _, _ in strips(beads, weight[letter])
+        )
+    return found
+
+
+def _add_tableaux(strips, weight, live, listed, beads, letter: int, spin: int, path, out):
+    """Append to `out` each tableau that follows `path`, the moves of each
+    letter's strip so far, with live strips; `listed` is the (k, shape,
+    weight, start) of every tableau."""
+    if letter == len(weight):  # every cell of the shape is covered
+        out.append(RibbonTableau._listed(*listed, tuple(path), spin))
+        return
+    for end, shift, moves in strips(beads, weight[letter]):
+        if _alive(strips, weight, live, end, letter + 1):
+            path.append(moves)
+            _add_tableaux(
+                strips, weight, live, listed, end, letter + 1, spin + shift, path, out
+            )
+            path.pop()
 
 
 def ribbon_spin_histogram(
@@ -346,21 +359,22 @@ def ribbon_spin_histogram(
     """
     weight, k, start, cap = _tableau_ends(shape, weight, k)
     strips = _strip_table(k, cap)
-    memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+    return _histogram(_strip_table(k, cap), weight, {}, start, 0)
 
-    def hist(beads, letter) -> dict[int, int]:
-        if letter == len(weight):
-            return {0: 1}
-        key = (beads, letter)
-        if key not in memo:
-            total: dict[int, int] = {}
-            for nxt, shift, _ in strips(beads, weight[letter]):
-                for spin, count in hist(nxt, letter + 1).items():
-                    total[spin + shift] = total.get(spin + shift, 0) + count
-            memo[key] = total
-        return memo[key]
 
-    return hist(start, 0)
+def _histogram(strips, weight, memo: dict, beads, letter: int) -> dict[int, int]:
+    """{spin: count} over the strips of letters letter, letter + 1, ...
+    from beads; `memo` holds the histograms of one call."""
+    if letter == len(weight):
+        return {0: 1}
+    key = (beads, letter)
+    if key not in memo:
+        total: dict[int, int] = {}
+        for nxt, shift, _ in strips(beads, weight[letter]):
+            for spin, count in _histogram(strips, weight, memo, nxt, letter + 1).items():
+                total[spin + shift] = total.get(spin + shift, 0) + count
+        memo[key] = total
+    return memo[key]
 
 
 def ribbon_strip_spins(

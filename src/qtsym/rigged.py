@@ -209,33 +209,33 @@ def _configurations(lam: Partition, mu: Partition):
     n = mu.size
     tails = [sum(lam.parts[a:]) for a in range(1, max(len(lam), 1))]
     # an empty nu after the last component closes the last check
-    sizes = tails + [0]
+    yield from _extend(tails + [0], n, [mu], [_q_vector(mu, n)], [])
 
-    def extend(chain, qs, vacancies):
-        # chain is mu = nu^(0), nu^(1), ..., nu^(a) and qs their Q vectors;
-        # vacancies holds those of components 1 .. a-1
-        depth = len(chain)
-        if depth == len(sizes) + 1:
-            yield tuple(chain[1:-1]), vacancies
-            return
-        if depth == 1:
-            for nu in partitions_of(sizes[0]):
-                yield from extend(chain + [nu], qs + [_q_vector(nu, n)], vacancies)
-            return
-        prev, cur = qs[-2], qs[-1]
-        rows = sorted(chain[-1].multiplicities().items(), reverse=True)
-        for nu in partitions_of(sizes[depth - 1]):
-            q = _q_vector(nu, n)
-            groups = []
-            for size, count in rows:
-                p = prev[size] - 2 * cur[size] + q[size]
-                if p < 0:
-                    break
-                groups.append((count, p))
-            else:
-                yield from extend(chain + [nu], qs + [q], vacancies + [groups])
 
-    yield from extend([mu], [_q_vector(mu, n)], [])
+def _extend(sizes, n: int, chain, qs, vacancies):
+    """Yield what _configurations yields below one prefix: chain is mu =
+    nu^(0), nu^(1), ..., nu^(a) and qs their Q vectors; vacancies holds
+    those of components 1 .. a-1."""
+    depth = len(chain)
+    if depth == len(sizes) + 1:
+        yield tuple(chain[1:-1]), vacancies
+        return
+    if depth == 1:
+        for nu in partitions_of(sizes[0]):
+            yield from _extend(sizes, n, chain + [nu], qs + [_q_vector(nu, n)], vacancies)
+        return
+    prev, cur = qs[-2], qs[-1]
+    rows = sorted(chain[-1].multiplicities().items(), reverse=True)
+    for nu in partitions_of(sizes[depth - 1]):
+        q = _q_vector(nu, n)
+        groups = []
+        for size, count in rows:
+            p = prev[size] - 2 * cur[size] + q[size]
+            if p < 0:
+                break
+            groups.append((count, p))
+        else:
+            yield from _extend(sizes, n, chain + [nu], qs + [q], vacancies + [groups])
 
 
 def rigged_configurations(lam: Partition, mu: Partition) -> list[RiggedConfiguration]:

@@ -112,36 +112,38 @@ def _fillings(shape: Partition, content: tuple[int, ...]) -> list[tuple[tuple[in
     down, the order of chains of horizontal_strip_extensions.
     """
     caps = shape.parts
-    height = len(caps)
-    rows: list[list[int]] = [[] for _ in range(height)]
     out: list[tuple[tuple[int, ...], ...]] = []
-
-    def strip(letter: int, i: int, left: int, above: int):
-        # `left` cells of letter + 1 go into rows i, i+1, ...; `above` is
-        # row i-1's length before this letter
-        while not left:  # the letter is placed: start the next one here
-            letter += 1
-            if letter == len(content):
-                out.append(tuple(map(tuple, rows)))
-                return
-            i, left, above = 0, content[letter], top
-        # rows with no room take nothing
-        while i < height and len(rows[i]) == min(caps[i], above):
-            above = len(rows[i])
-            i += 1
-        if i == height:
-            return
-        row = rows[i]
-        old = len(row)
-        strip(letter, i + 1, left, old)
-        for added in range(1, min(caps[i], above, old + left) - old + 1):
-            row.append(letter + 1)
-            strip(letter, i + 1, left - added, old)
-        del row[old:]
-
     top = caps[0] if caps else 0
-    strip(-1, 0, 0, top)
+    _add_fillings([[] for _ in caps], caps, content, out, top, -1, 0, 0, top)
     return out
+
+
+def _add_fillings(
+    rows, caps, content, out, top: int, letter: int, i: int, left: int, above: int
+) -> None:
+    """Append every completion of `rows` by _fillings: `left` cells of
+    letter + 1 go into rows i, i+1, ...; `above` is row i-1's length before
+    this letter, `top` the first row's cap."""
+    while not left:  # the letter is placed: start the next one here
+        letter += 1
+        if letter == len(content):
+            out.append(tuple(map(tuple, rows)))
+            return
+        i, left, above = 0, content[letter], top
+    # rows with no room take nothing
+    height = len(rows)
+    while i < height and len(rows[i]) == min(caps[i], above):
+        above = len(rows[i])
+        i += 1
+    if i == height:
+        return
+    row = rows[i]
+    old = len(row)
+    _add_fillings(rows, caps, content, out, top, letter, i + 1, left, old)
+    for added in range(1, min(caps[i], above, old + left) - old + 1):
+        row.append(letter + 1)
+        _add_fillings(rows, caps, content, out, top, letter, i + 1, left - added, old)
+    del row[old:]
 
 
 def ssyt(shape: Partition, content: Sequence[int]) -> list[Tableau]:
@@ -167,23 +169,20 @@ def ssyt(shape: Partition, content: Sequence[int]) -> list[Tableau]:
 
 @lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
-    """Count of semistandard tableaux, computed by a chain recursion."""
+    """Count of semistandard tableaux, as chains of horizontal strips
+    inside shape: the count of each partial shape is carried forward one
+    letter at a time."""
     content = _letter_counts(content, "content")
     if sum(content) != shape.size:
         return 0
-
-    @lru_cache(maxsize=None)
-    def count(cur: Partition, letter: int) -> int:
-        if letter == len(content):
-            return 1 if cur == shape else 0
-        return sum(
-            count(nxt, letter + 1)
-            for nxt in horizontal_strip_extensions(cur, content[letter], within=shape)
-        )
-
-    result = count(Partition(), 0)
-    count.cache_clear()
-    return result
+    counts = {Partition(): 1}
+    for cells in content:
+        step: dict[Partition, int] = {}
+        for cur, n in counts.items():
+            for nxt in horizontal_strip_extensions(cur, cells, within=shape):
+                step[nxt] = step.get(nxt, 0) + n
+        counts = step
+    return counts.get(shape, 0)
 
 
 def content_exchange(word: Sequence[int], i: int) -> tuple[int, ...]:

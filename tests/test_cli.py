@@ -646,6 +646,29 @@ def test_cli_partitions_bound():
         )
 
 
+def test_cli_closed_output_pipe_is_not_an_internal_fault():
+    # `qtsym partitions 40 | head -1`: the reader takes one line and leaves
+    src = str(Path(qtsym.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtsym.cli", "partitions", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert proc.stdout.readline() == b"[40]\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    # no "internal error", and no traceback from the flush at exit
+    assert err == b""
+
+
 def test_cli_partitions_json(capsys):
     code, out, _ = run_cli(capsys, "partitions", "3", "--format", "json")
     assert code == 0

@@ -1,5 +1,6 @@
 """Partition container, enumeration order, dominance, strips."""
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -163,3 +164,15 @@ def test_distinct_permutations():
     assert set(distinct_permutations((1, 1, 2))) == {(1, 1, 2), (1, 2, 1), (2, 1, 1)}
     assert list(distinct_permutations(())) == [()]
     assert len(list(distinct_permutations((3, 2, 1)))) == 6
+
+
+def test_distinct_permutations_come_in_lexicographic_order():
+    multisets = [
+        values
+        for size in range(8)
+        for values in itertools.combinations_with_replacement(range(3), size)
+    ]
+    multisets += [(4, -1, 0, 4, 2, -1, 7), (5, 3, 3, 1), (2, 0, 1, 2, 0, 1)]
+    for values in multisets:
+        expected = sorted(set(itertools.permutations(values)))
+        assert list(distinct_permutations(values)) == expected, values
