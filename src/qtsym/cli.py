@@ -305,7 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         # the reader left (as `qtsym partitions 40 | head -1` does): send
         # what is still buffered to devnull, so the flush at exit cannot
         # fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except Exception as exc:  # noqa: BLE001 - anything else is internal
         print(f"internal error: {exc}", file=sys.stderr)

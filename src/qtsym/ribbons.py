@@ -26,12 +26,14 @@ of them are dropped.
 Listing follows a strip only when its end state can still be completed
 by the remaining letters, which _alive decides with a liveness memo that
 each listing makes and passes down; a partial tableau that cannot be
-finished is never built.  The recursive helpers are module functions
-that take their state as arguments, so a call's memos are freed as soon
-as it returns.  A listed
-tableau keeps its start beads, the moves of each letter's strip as the
-table holds them, and its spin summed from the strips' totals; its
-cells and chain of partitions are built on first access.
+finished is never built.  A listed tableau keeps its start beads, the
+moves of each letter's strip as the table holds them, and its spin
+summed from the strips' totals; its cells and chain of partitions are
+built on first access.
+
+The recursive helpers are module functions that take their state as
+arguments, not nested functions that call themselves, so a call's memos
+are freed as soon as it returns.
 """
 
 from __future__ import annotations
