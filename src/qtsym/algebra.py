@@ -29,10 +29,9 @@ from .partitions import Partition, partitions_of
 
 
 class _Basis:
-    __slots__ = ("name", "description", "multiplicative", "product")
+    __slots__ = ("description", "multiplicative", "product")
 
-    def __init__(self, name, description, multiplicative, product):
-        self.name = name
+    def __init__(self, description, multiplicative, product):
         self.description = description
         self.multiplicative = multiplicative
         self.product = product
@@ -215,10 +214,9 @@ class BasisHandle:
 
 
 class _Operator:
-    __slots__ = ("name", "basis", "action")
+    __slots__ = ("basis", "action")
 
-    def __init__(self, name, basis, action):
-        self.name = name
+    def __init__(self, basis, action):
         self.basis = basis
         self.action = action
 
@@ -282,7 +280,7 @@ class SymmetricFunctions:
             raise BasisError(f"basis name {name!r} collides with a field variable")
         if name in self._bases:
             raise BasisError(f"basis {name!r} is already registered")
-        self._bases[name] = _Basis(name, description, multiplicative, product)
+        self._bases[name] = _Basis(description, multiplicative, product)
         self._invalidate_routes()
         return BasisHandle(self, name)
 
@@ -331,7 +329,7 @@ class SymmetricFunctions:
         self._require_basis(basis)
         if name in self._operators:
             raise BasisError(f"operator {name!r} is already registered")
-        self._operators[name] = _Operator(name, basis, action)
+        self._operators[name] = _Operator(basis, action)
 
     # -- lookups -----------------------------------------------------------
 

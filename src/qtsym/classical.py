@@ -49,7 +49,6 @@ def monomial_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def powersum_to_monomial(lam: Partition) -> dict[Partition, int]:
     terms: dict[Partition, int] = {Partition(): 1}
     for part in lam.parts:
@@ -95,7 +94,6 @@ def _first_row_fillings(
     return total
 
 
-@lru_cache(maxsize=None)
 def complete_to_monomial(lam: Partition) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for mu in partitions_of(lam.size):
@@ -105,7 +103,6 @@ def complete_to_monomial(lam: Partition) -> dict[Partition, int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def elementary_to_monomial(lam: Partition) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for mu in partitions_of(lam.size):
@@ -115,7 +112,6 @@ def elementary_to_monomial(lam: Partition) -> dict[Partition, int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def schur_to_monomial(lam: Partition) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for mu in partitions_of(lam.size):

@@ -25,12 +25,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .coeffs import ZERO, Coeff
-from .errors import TableauError
 from .partitions import Partition, partitions_of
-from .ribbons import core_and_quotient, ribbon_spin_histogram
+from .ribbons import _ribbon_size, core_and_quotient, ribbon_spin_histogram
 
 
-@lru_cache(maxsize=None)
+# typed, so that k = 2.0, which equals 2, reaches the check instead of
+# the entry of k = 2
+@lru_cache(maxsize=None, typed=True)
 def spin_distributions(
     shape: Partition, k: int
 ) -> tuple[dict[Partition, dict[int, int]], int]:
@@ -38,10 +39,11 @@ def spin_distributions(
 
     Returns ({weight -> {spin -> count}}, maxspin).  Weights run over
     partitions of |shape|/k.  Empty when the k-core is nonzero.  Every
-    weight's histogram reads the same strip table of the shape.
+    weight's histogram reads the same strip table of the shape.  Raises
+    TableauError unless k is an integer of at least 1, which llt_in_m
+    relies on.
     """
-    if k < 1:
-        raise TableauError("ribbon size must be a positive integer")
+    k = _ribbon_size(k)
     if shape.size % k:
         return {}, 0
     core, _ = core_and_quotient(shape, k)
@@ -60,8 +62,6 @@ def spin_distributions(
 
 def llt_in_m(S, shape: Partition, k: int):
     """The LLT polynomial H_shape^(k) expanded over the monomial basis."""
-    if k < 1:
-        raise TableauError("ribbon size must be a positive integer")
     table, maxspin = spin_distributions(shape, k)
     terms = {
         mu: Coeff.from_t_poly({maxspin - spin: count for spin, count in hist.items()})
@@ -72,8 +72,7 @@ def llt_in_m(S, shape: Partition, k: int):
 
 def generalized_kostka(S, shape: Partition, mu: Partition, k: int) -> Coeff:
     """Coefficient of s_mu in H_shape^(k); zero when sizes cannot match."""
-    if k < 1:
-        raise TableauError("ribbon size must be a positive integer")
+    k = _ribbon_size(k)
     if shape.size != k * mu.size:
         return ZERO
     h = llt_in_m(S, shape, k)

@@ -24,12 +24,13 @@ number of entries over all tables (_STRIP_TABLE_LIMIT), past which all
 of them are dropped.
 
 Listing follows a strip only when its end state can still be completed
-by the remaining letters, which _alive decides with a liveness memo that
-each listing makes and passes down; a partial tableau that cannot be
-finished is never built.  A listed tableau keeps its start beads, the
-moves of each letter's strip as the table holds them, and its spin
-summed from the strips' totals; its cells and chain of partitions are
-built on first access.
+by the remaining letters, that is when the spin histogram of the
+remaining letters from that state is not empty.  Each listing sums those
+histograms once, with the _histogram that ribbon_spin_histogram runs, so
+a partial tableau that cannot be finished is never built.  A listed
+tableau keeps its start beads, the moves of each letter's strip as the
+table holds them, and its spin summed from the strips' totals; its cells
+and chain of partitions are built on first access.
 
 The recursive helpers are module functions that take their state as
 arguments, not nested functions that call themselves, so a call's memos
@@ -59,10 +60,17 @@ def _rows(beads: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _partition_from_beads(beads) -> Partition:
-    desc = sorted(beads, reverse=True)
-    length = len(desc)
-    parts = [desc[i] - (length - 1 - i) for i in range(length)]
-    return Partition([x for x in parts if x])
+    """The partition of a bead set, in any order."""
+    return Partition(r for r in _rows(tuple(sorted(beads))) if r)
+
+
+def _runners(beads, k: int) -> list[list[int]]:
+    """The positions b // k of the beads on each runner b % k, ascending
+    for ascending beads."""
+    runners: list[list[int]] = [[] for _ in range(k)]
+    for b in beads:
+        runners[b % k].append(b // k)
+    return runners
 
 
 def core_and_quotient(p: Partition, k: int) -> tuple[Partition, tuple[Partition, ...]]:
@@ -74,10 +82,7 @@ def core_and_quotient(p: Partition, k: int) -> tuple[Partition, tuple[Partition,
     if k < 1:
         raise PartitionError("ribbon size must be a positive integer")
     length = max(k, ((len(p) + k - 1) // k) * k)
-    beads = _beads(p, length)
-    runners: list[list[int]] = [[] for _ in range(k)]
-    for b in beads:
-        runners[b % k].append(b // k)
+    runners = _runners(_beads(p, length), k)
     quotient = tuple(_partition_from_beads(r) for r in runners)
     core_beads = [
         r + k * j for r, runner in enumerate(runners) for j in range(len(runner))
@@ -99,11 +104,8 @@ def from_core_and_quotient(
     core_check, _ = core_and_quotient(core, k)
     if core_check != core:
         raise PartitionError(f"{core} is not a {k}-core")
-    runners: list[list[int]] = [[] for _ in range(k)]
-    for b in _beads(core, length):
-        runners[b % k].append(b // k)
     beads: list[int] = []
-    for r, runner in enumerate(runners):
+    for r, runner in enumerate(_runners(_beads(core, length), k)):
         count = len(runner)
         rows = quotient[r].padded(count)
         beads.extend(r + k * (rows[i] + count - 1 - i) for i in range(count))
@@ -308,43 +310,27 @@ def ribbon_tableaux(
     """
     weight, k, start, cap = _tableau_ends(shape, weight, k)
     strips = _strip_table(k, cap)
-    live: dict[tuple[tuple[int, ...], int], bool] = {}
+    memo: dict = {}
     out: list[RibbonTableau] = []
-    if _alive(strips, weight, live, start, 0):
+    if _histogram(strips, weight, memo, start, 0):
         listed = (k, shape, weight, start)
-        _add_tableaux(strips, weight, live, listed, start, 0, 0, [], out)
+        _add_tableaux(strips, weight, memo, listed, start, 0, 0, [], out)
     return out
 
 
-def _alive(strips, weight, live: dict, beads, letter: int) -> bool:
-    """Whether the strips of letters letter, letter + 1, ... can go on from
-    beads to the shape; `live` memoizes the answers of one listing."""
-    # after the last letter the strips hold |cap| cells inside cap, so they
-    # cover it
-    if letter == len(weight):
-        return True
-    key = (beads, letter)
-    found = live.get(key)
-    if found is None:
-        found = live[key] = any(
-            _alive(strips, weight, live, end, letter + 1)
-            for end, _, _ in strips(beads, weight[letter])
-        )
-    return found
-
-
-def _add_tableaux(strips, weight, live, listed, beads, letter: int, spin: int, path, out):
+def _add_tableaux(strips, weight, memo, listed, beads, letter: int, spin: int, path, out):
     """Append to `out` each tableau that follows `path`, the moves of each
-    letter's strip so far, with live strips; `listed` is the (k, shape,
-    weight, start) of every tableau."""
+    letter's strip so far, with strips whose end state has a nonempty
+    histogram in `memo`; `listed` is the (k, shape, weight, start) of every
+    tableau."""
     if letter == len(weight):  # every cell of the shape is covered
         out.append(RibbonTableau._listed(*listed, tuple(path), spin))
         return
     for end, shift, moves in strips(beads, weight[letter]):
-        if _alive(strips, weight, live, end, letter + 1):
+        if _histogram(strips, weight, memo, end, letter + 1):
             path.append(moves)
             _add_tableaux(
-                strips, weight, live, listed, end, letter + 1, spin + shift, path, out
+                strips, weight, memo, listed, end, letter + 1, spin + shift, path, out
             )
             path.pop()
 
@@ -360,13 +346,12 @@ def ribbon_spin_histogram(
     weight of the shape.
     """
     weight, k, start, cap = _tableau_ends(shape, weight, k)
-    strips = _strip_table(k, cap)
     return _histogram(_strip_table(k, cap), weight, {}, start, 0)
 
 
 def _histogram(strips, weight, memo: dict, beads, letter: int) -> dict[int, int]:
     """{spin: count} over the strips of letters letter, letter + 1, ...
-    from beads; `memo` holds the histograms of one call."""
+    from beads; `memo` holds the histograms of one call or listing."""
     if letter == len(weight):
         return {0: 1}
     key = (beads, letter)

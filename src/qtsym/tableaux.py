@@ -15,7 +15,6 @@ without checking them again; kostka_poly charges their reading words.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import index
 from typing import Iterable, Sequence
 
@@ -167,7 +166,6 @@ def ssyt(shape: Partition, content: Sequence[int]) -> list[Tableau]:
     return tabs
 
 
-@lru_cache(maxsize=None)
 def kostka_number(shape: Partition, content: tuple[int, ...]) -> int:
     """Count of semistandard tableaux, as chains of horizontal strips
     inside shape: the count of each partial shape is carried forward one

@@ -51,7 +51,7 @@ ENUMERATORS = {
     ),
     "_lr_fillings": lambda: classical._lr_fillings(Partition([2, 1]), Partition([2, 1]), LAM),
     "_fillings": lambda: tableaux._fillings(LAM, MU.parts),
-    "kostka_number": lambda: tableaux.kostka_number.__wrapped__(LAM, MU.parts),
+    "kostka_number": lambda: tableaux.kostka_number(LAM, MU.parts),
     "_strip_moves": lambda: ribbons._strip_moves((0, 1, 2, 3), 2, 2, (2, 3, 5, 6)),
     "ribbon_tableaux": lambda: ribbons.ribbon_tableaux(SHAPE, (2, 1), 2),
     "ribbon_spin_histogram": lambda: ribbons.ribbon_spin_histogram(SHAPE, (2, 1), 2),

@@ -51,6 +51,17 @@ def test_ribbon_size_must_be_positive(S):
     for k in (0, -2):
         with pytest.raises(TableauError, match="positive integer"):
             spin_distributions(Partition([2, 2]), k)
+    # a k that is not an integer is a user error too, also right after the
+    # equal integer k = 2 has filled the cache of spin_distributions
+    shape = Partition([2, 2])
+    llt_in_m(S, shape, 2)
+    for k in (2.0, 1.5, "2"):
+        with pytest.raises(TableauError, match="positive integer"):
+            spin_distributions(shape, k)
+        with pytest.raises(TableauError, match="positive integer"):
+            llt_in_m(S, shape, k)
+        with pytest.raises(TableauError, match="positive integer"):
+            generalized_kostka(S, shape, Partition([2]), k)
 
 
 def test_t_one_specialization_is_quotient_product(S):

@@ -469,14 +469,15 @@ def test_standard_ribbon_count_stanton_white():
     assert shapes == 109
 
 
-def _empty_core_cases():
+def _empty_core_cases(empty=True):
     """(shape, weight, k) for every shape with empty k-core (k = 2 through
     size 8, k = 3 through size 9) and every weight with positive parts,
-    plus each weight with a zero letter in front."""
+    plus each weight with a zero letter in front; with empty=False, for
+    every shape of those sizes whose k-core is not empty instead."""
     for k, top in ((2, 8), (3, 9)):
         for size in range(0, top + 1, k):
             for shape in partitions_of(size):
-                if core_and_quotient(shape, k)[0] != Partition():
+                if (core_and_quotient(shape, k)[0] == Partition()) != empty:
                     continue
                 for mu in partitions_of(size // k):
                     for weight in distinct_permutations(mu.parts):
@@ -521,6 +522,37 @@ def test_pruned_listing_matches_unpruned_search():
         assert got == _unpruned_tableaux_json(shape, weight, k), (shape, weight, k)
         cases += 1
     assert cases > 200
+
+
+def test_pruned_listing_matches_unpruned_search_for_nonempty_cores():
+    # no tableau reaches a shape whose k-core is not empty; the unpruned
+    # search finds that by trying every strip, the listing up front
+    cases = 0
+    for shape, weight, k in _empty_core_cases(empty=False):
+        got = [tab.to_json() for tab in ribbon_tableaux(shape, weight, k)]
+        assert got == _unpruned_tableaux_json(shape, weight, k) == [], (shape, weight, k)
+        cases += 1
+    assert cases == 97
+
+
+def test_listing_that_cannot_finish_is_cut_at_its_start(monkeypatch):
+    # [9,7,6,5,4,3,2] has a nonempty 2-core; the unpruned search of its
+    # domino tableaux runs for minutes
+    entered = []
+    listed = ribbons._add_tableaux
+
+    def counted(*args):
+        entered.append(args)
+        return listed(*args)
+
+    monkeypatch.setattr(ribbons, "_add_tableaux", counted)
+    shape = Partition([9, 7, 6, 5, 4, 3, 2])
+    assert core_and_quotient(shape, 2)[0] != Partition()
+    assert ribbon_tableaux(shape, (1,) * 18, 2) == []
+    assert entered == []
+    # the same count sees a listing that can finish
+    assert len(ribbon_tableaux(Partition([2, 2]), (1, 1), 2)) == 2
+    assert entered
 
 
 def test_listed_tableaux_unfold_like_constructed_ones():
