@@ -1,22 +1,27 @@
 """Command line interface.
 
 Subcommands: eval (expression language), partitions, tableaux, ribbons,
-rc, kostka, genkostka, llt, bases.  Every subcommand accepts
-``--format text|json``.  Exit codes: 0 success, 1 user error (bad
-syntax, bad input, precondition violations, and a reader that closes
-the output pipe early), 2 internal failure.
-``partitions N`` lists at most N = MAX_PARTITIONS_N = 46 (105,558
-partitions, about 2 s); a larger N is a user error raised before listing.
-The ribbon, LLT and rigged-configuration modules are imported inside the
-subcommands that use them, and json inside ``_print_json``, so a text
-``eval`` starts without loading them.
+rc, kostka, genkostka, llt, bases; each accepts ``--format text|json``.
+The table ``_COMMANDS`` parses and dispatches, so a cold start compiles
+no argparse, gettext or locale when bytecode is not cached.
+Options come before or after the positionals, as ``--opt value`` or
+``--opt=value``, never abbreviated; ``--`` ends them, a word with one
+leading dash such as ``-1`` is a positional, and ``-h``/``--help``
+prints usage built from the table.  Exit codes: 0 success, 1 user error
+(bad syntax, bad input, precondition violations, a reader that closes
+the output pipe early), 2 internal failure.  ``partitions N`` lists at
+most N = MAX_PARTITIONS_N = 46 (105,558 partitions, about 2 s); a larger
+N is a user error raised before listing.  The ribbon, LLT and
+rigged-configuration modules are imported inside the subcommands that
+use them, and json inside ``_print_json``, so a text ``eval`` starts
+without loading them.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .algebra import SymElement, SymmetricFunctions
 from .coeffs import Coeff
@@ -26,92 +31,6 @@ from .partitions import Partition, partitions_of
 from .tableaux import charge, kostka_poly, ssyt
 
 MAX_PARTITIONS_N = 46
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qtsym",
-        description="Symmetric functions over Q(q,t): bases, conversions, "
-        "Hall-Littlewood and Macdonald families, ribbon and rigged "
-        "combinatorics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="output format (default text)",
-        )
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression")
-    p_eval.add_argument("expression")
-    p_eval.add_argument(
-        "--basis", help="convert the result to this basis before printing"
-    )
-    p_eval.add_argument(
-        "--var-names",
-        metavar="Q,T",
-        help="rename the two deformation variables in text output",
-    )
-    add_format(p_eval)
-
-    p_partitions = sub.add_parser("partitions", help="list partitions of n")
-    p_partitions.add_argument("n", type=int)
-    add_format(p_partitions)
-
-    p_tableaux = sub.add_parser(
-        "tableaux", help="semistandard tableaux of a shape and content"
-    )
-    p_tableaux.add_argument("shape")
-    p_tableaux.add_argument("content")
-    add_format(p_tableaux)
-
-    p_ribbons = sub.add_parser(
-        "ribbons", help="k-ribbon tableaux of a shape and weight"
-    )
-    p_ribbons.add_argument("shape")
-    p_ribbons.add_argument("weight")
-    p_ribbons.add_argument("k", type=int)
-    add_format(p_ribbons)
-
-    p_rc = sub.add_parser(
-        "rc", help="rigged configurations for a partition pair"
-    )
-    p_rc.add_argument("lam")
-    p_rc.add_argument("mu")
-    add_format(p_rc)
-
-    p_kostka = sub.add_parser(
-        "kostka", help="Kostka polynomial via the charge statistic"
-    )
-    p_kostka.add_argument("lam")
-    p_kostka.add_argument("mu")
-    add_format(p_kostka)
-
-    p_genkostka = sub.add_parser(
-        "genkostka", help="generalized Kostka polynomial from k-ribbons"
-    )
-    p_genkostka.add_argument("lam")
-    p_genkostka.add_argument("mu")
-    p_genkostka.add_argument("k", type=int)
-    add_format(p_genkostka)
-
-    p_llt = sub.add_parser("llt", help="LLT polynomial of a shape")
-    p_llt.add_argument("shape")
-    p_llt.add_argument("k", type=int)
-    p_llt.add_argument(
-        "--basis", default="m", help="basis for the output (default m)"
-    )
-    add_format(p_llt)
-
-    p_bases = sub.add_parser(
-        "bases", help="list registered bases, scalar products and operators"
-    )
-    add_format(p_bases)
-
-    return parser
 
 
 def _var_names(raw: str | None, S: SymmetricFunctions) -> tuple[str, str]:
@@ -273,31 +192,112 @@ def _cmd_bases(args) -> None:
         print("operators: " + ", ".join(S.operators()))
 
 
+_FORMAT = {"--format": ("text", "{text,json}", "output format (default text)")}
+
+# One entry per command: its handler, its help line, its positionals
+# {name: type} and its options {flag: (default, metavar, help)}.
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "partitions": _cmd_partitions,
-    "tableaux": _cmd_tableaux,
-    "ribbons": _cmd_ribbons,
-    "rc": _cmd_rc,
-    "kostka": _cmd_kostka,
-    "genkostka": _cmd_genkostka,
-    "llt": _cmd_llt,
-    "bases": _cmd_bases,
+    "eval": (_cmd_eval, "evaluate an expression", {"expression": str}, {
+        "--basis": (None, "BASIS", "convert the result to this basis before printing"),
+        "--var-names": (None, "Q,T", "rename the two deformation variables in text output"),
+        **_FORMAT,
+    }),
+    "partitions": (_cmd_partitions, "list partitions of n", {"n": int}, _FORMAT),
+    "tableaux": (_cmd_tableaux, "semistandard tableaux of a shape and content",
+                 {"shape": str, "content": str}, _FORMAT),
+    "ribbons": (_cmd_ribbons, "k-ribbon tableaux of a shape and weight",
+                {"shape": str, "weight": str, "k": int}, _FORMAT),
+    "rc": (_cmd_rc, "rigged configurations for a partition pair",
+           {"lam": str, "mu": str}, _FORMAT),
+    "kostka": (_cmd_kostka, "Kostka polynomial via the charge statistic",
+               {"lam": str, "mu": str}, _FORMAT),
+    "genkostka": (_cmd_genkostka, "generalized Kostka polynomial from k-ribbons",
+                  {"lam": str, "mu": str, "k": int}, _FORMAT),
+    "llt": (_cmd_llt, "LLT polynomial of a shape", {"shape": str, "k": int}, {
+        "--basis": ("m", "BASIS", "basis for the output (default m)"), **_FORMAT
+    }),
+    "bases": (_cmd_bases, "list registered bases, scalar products and operators",
+              {}, _FORMAT),
 }
 
 
+def _usage(name: str | None) -> str:
+    """The usage line of command `name`, or of qtsym when it is None."""
+    if name is None:
+        return "usage: qtsym [-h] {" + ",".join(_COMMANDS) + "} ..."
+    _, _, positionals, options = _COMMANDS[name]
+    words = [f"[{flag} {meta}]" for flag, (_, meta, _) in options.items()]
+    return " ".join(["usage: qtsym", name, "[-h]", *words, *positionals])
+
+
+def _help(name: str | None) -> str:
+    """The text that -h or --help prints for command `name`, or for qtsym."""
+    if name is None:
+        head = "Symmetric functions over Q(q,t): bases, conversions, Hall-Littlewood\n"
+        head += "and Macdonald families, ribbon and rigged combinatorics.\n\ncommands:"
+        rows = [(cmd, entry[1]) for cmd, entry in _COMMANDS.items()]
+    else:
+        _, head, positionals, options = _COMMANDS[name]
+        head += "\n\narguments:"
+        rows = [(p, kind.__name__) for p, kind in positionals.items()]
+        rows += [(f"{flag} {meta}", text) for flag, (_, meta, text) in options.items()]
+        rows.append(("-h, --help", "show this help message and exit"))
+    return "\n".join([_usage(name), "", head, *(f"  {a:22}{b}" for a, b in rows)])
+
+
+class _UsageError(Exception):
+    """A command line that names no command, or does not fit its entry."""
+
+
+def _parse(argv: list[str]):
+    """The handler argv names and its arguments; print and the text for help."""
+    name, *words = argv or [None]
+    if name in ("-h", "--help"):
+        return print, _help(None)
+    if name not in _COMMANDS:
+        raise _UsageError(None, f"unknown command {name!r}" if name else "no command")
+    handler, _, positionals, options = _COMMANDS[name]
+    values = {flag: default for flag, (default, _, _) in options.items()}
+    found = []
+    rest = iter(words)
+    for word in rest:
+        if word == "--":
+            found += rest
+        elif word in ("-h", "--help"):
+            return print, _help(name)
+        elif word.startswith("--"):
+            flag, eq, value = word.partition("=")
+            if flag not in values:
+                raise _UsageError(name, f"unknown option {flag}")
+            values[flag] = value if eq else next(rest, None)
+            if values[flag] is None:
+                raise _UsageError(name, f"{flag} needs a value")
+        else:
+            found.append(word)
+    if values["--format"] not in ("text", "json"):
+        raise _UsageError(name, f"--format is text or json, not {values['--format']!r}")
+    if len(found) != len(positionals):
+        counts = f"expected {len(positionals)}, got {len(found)}"
+        raise _UsageError(name, f"arguments: {counts}")
+    args = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    for (pname, kind), word in zip(positionals.items(), found):
+        try:
+            args[pname] = kind(word)
+        except ValueError:
+            raise _UsageError(name, f"{pname} is not an integer: {word!r}") from None
+    return handler, SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reports usage problems with code 2; those are user
-        # errors here, while --help exits 0
-        code = exc.code or 0
-        return 1 if code == 2 else int(code)
-    try:
-        _COMMANDS[args.command](args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        handler(args)
         sys.stdout.flush()
+    except _UsageError as exc:
+        name, message = exc.args
+        prog = "qtsym" if name is None else f"qtsym {name}"
+        print(f"{_usage(name)}\n{prog}: error: {message}", file=sys.stderr)
+        return 1
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,9 +29,6 @@ from .partitions import Partition, partitions_of
 from .ribbons import _ribbon_size, core_and_quotient, ribbon_spin_histogram
 
 
-# typed, so that k = 2.0, which equals 2, reaches the check instead of
-# the entry of k = 2
-@lru_cache(maxsize=None, typed=True)
 def spin_distributions(
     shape: Partition, k: int
 ) -> tuple[dict[Partition, dict[int, int]], int]:
@@ -41,9 +38,15 @@ def spin_distributions(
     partitions of |shape|/k.  Empty when the k-core is nonzero.  Every
     weight's histogram reads the same strip table of the shape.  Raises
     TableauError unless k is an integer of at least 1, which llt_in_m
-    relies on.
+    relies on; the cache is keyed on the checked int.
     """
-    k = _ribbon_size(k)
+    return _spin_distributions(shape, _ribbon_size(k))
+
+
+@lru_cache(maxsize=None)
+def _spin_distributions(
+    shape: Partition, k: int
+) -> tuple[dict[Partition, dict[int, int]], int]:
     if shape.size % k:
         return {}, 0
     core, _ = core_and_quotient(shape, k)

@@ -79,8 +79,7 @@ def core_and_quotient(p: Partition, k: int) -> tuple[Partition, tuple[Partition,
     Bead positions are taken with a bead count that is a multiple of k,
     which makes the labelling of the quotient components canonical.
     """
-    if k < 1:
-        raise PartitionError("ribbon size must be a positive integer")
+    k = _ribbon_size(k, PartitionError)
     length = max(k, ((len(p) + k - 1) // k) * k)
     runners = _runners(_beads(p, length), k)
     quotient = tuple(_partition_from_beads(r) for r in runners)
@@ -95,8 +94,7 @@ def from_core_and_quotient(
     core: Partition, quotient: Sequence[Partition], k: int
 ) -> Partition:
     """Rebuild the partition with the given k-core and k-quotient."""
-    if k < 1:
-        raise PartitionError("ribbon size must be a positive integer")
+    k = _ribbon_size(k, PartitionError)
     if len(quotient) != k:
         raise PartitionError(f"a {k}-quotient needs exactly {k} components")
     rows_needed = len(core) + k * (sum(q.size for q in quotient) + 1)
@@ -241,10 +239,10 @@ def _add_strips(cur, first: int, left: int, k: int, cap, moves: list, out: list)
         moves.pop()
 
 
-def _ribbon_size(k) -> int:
-    """k as an int; TableauError unless it is an integer of at least 1."""
+def _ribbon_size(k, error: type[Exception] = TableauError) -> int:
+    """k as an int; error unless it is an integer of at least 1."""
     if not hasattr(k, "__index__") or index(k) < 1:
-        raise TableauError("ribbon size must be a positive integer")
+        raise error("ribbon size must be a positive integer")
     return index(k)
 
 

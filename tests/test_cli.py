@@ -763,23 +763,60 @@ def test_cli_bases_listing(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Command line: exit codes and argparse behavior
+# Command line: exit codes and argument parsing
 
 
 def test_cli_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    capsys.readouterr()
-    assert main(["eval", "--help"]) == 0
-    capsys.readouterr()
+    commands = capsys.readouterr().out.split()
+    for command, positionals in (
+        ("eval", ["expression"]),
+        ("partitions", ["n"]),
+        ("tableaux", ["shape", "content"]),
+        ("ribbons", ["shape", "weight", "k"]),
+        ("rc", ["lam", "mu"]),
+        ("kostka", ["lam", "mu"]),
+        ("genkostka", ["lam", "mu", "k"]),
+        ("llt", ["shape", "k"]),
+        ("bases", []),
+    ):
+        assert command in commands
+        assert main([command, "--help"]) == 0
+        words = capsys.readouterr().out.split()
+        assert words[:3] == ["usage:", "qtsym", command] and "--format" in words
+        assert all(name in words for name in positionals), command
 
 
 def test_cli_usage_errors_exit_one(capsys):
-    assert main([]) == 1
-    capsys.readouterr()
-    assert main(["no-such-command"]) == 1
-    capsys.readouterr()
-    assert main(["eval", "t", "--format", "yaml"]) == 1
-    capsys.readouterr()
+    for argv in (
+        [],
+        ["no-such-command"],
+        ["eval", "t", "--format", "yaml"],
+        ["eval", "t", "--no-such-option", "x"],
+        ["eval"],
+        ["eval", "t", "u"],
+        ["partitions", "x"],
+        ["ribbons", "4,2", "2,1", "two"],
+        ["eval", "t", "--format"],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err, argv
+
+
+def test_cli_option_forms_give_the_same_bytes(capsys):
+    # options before or after the positional, as `--opt value` or `--opt=value`
+    code, today, _ = run_cli(capsys, "eval", "s[2,1]", "--format", "json")
+    assert code == 0 and json.loads(today) == {
+        "basis": "s",
+        "terms": [{"partition": [2, 1], "coeff": "1"}],
+    }
+    for argv in (
+        ["eval", "--format=json", "s[2,1]"],
+        ["eval", "--format", "json", "s[2,1]"],
+        ["eval", "s[2,1]", "--format=json"],
+    ):
+        assert run_cli(capsys, *argv) == (0, today, ""), argv
 
 
 def test_cli_internal_errors_exit_two(capsys, monkeypatch):
@@ -788,7 +825,8 @@ def test_cli_internal_errors_exit_two(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("unexpected")
 
-    monkeypatch.setitem(cli_mod._COMMANDS, "bases", boom)
+    entry = cli_mod._COMMANDS["bases"]
+    monkeypatch.setitem(cli_mod._COMMANDS, "bases", (boom, *entry[1:]))
     code = main(["bases"])
     captured = capsys.readouterr()
     assert code == 2 and "internal error" in captured.err

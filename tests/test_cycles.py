@@ -80,9 +80,9 @@ def _combinatorics(S) -> None:
 def fresh_strip_tables(monkeypatch):
     # an empty table set, so that strips are enumerated inside the count
     monkeypatch.setattr(ribbons, "_STRIP_TABLES", {})
-    llt.spin_distributions.cache_clear()
+    llt._spin_distributions.cache_clear()
     yield
-    llt.spin_distributions.cache_clear()
+    llt._spin_distributions.cache_clear()
 
 
 @pytest.mark.parametrize("name", ENUMERATORS)

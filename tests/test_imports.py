@@ -55,7 +55,10 @@ def test_cli_eval_leaves_ribbons_llt_and_rigged_unimported():
     )
     assert code == "0" and "qtsym.algebra" in loaded
     assert not {"qtsym.ribbons", "qtsym.llt", "qtsym.rigged"} & set(loaded)
-    # json is loaded only by the --format json branches, unless the
-    # interpreter itself starts with it (a site hook may import it)
+    # json is loaded only by the --format json branches, and the command
+    # table parses without argparse (and the gettext and locale it pulls
+    # in), unless the interpreter itself starts with one of them (a site
+    # hook may import it)
     bare = _loaded_after("import sys\nprint(*sorted(sys.modules))\n")
-    assert "json" not in loaded or "json" in bare
+    for name in ("json", "argparse", "gettext", "locale"):
+        assert name not in loaded or name in bare, name

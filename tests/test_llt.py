@@ -55,7 +55,7 @@ def test_ribbon_size_must_be_positive(S):
     # equal integer k = 2 has filled the cache of spin_distributions
     shape = Partition([2, 2])
     llt_in_m(S, shape, 2)
-    for k in (2.0, 1.5, "2"):
+    for k in (2.0, 1.5, "2", [2]):
         with pytest.raises(TableauError, match="positive integer"):
             spin_distributions(shape, k)
         with pytest.raises(TableauError, match="positive integer"):

@@ -5,9 +5,9 @@ from math import factorial, prod
 
 import pytest
 
-from qtsym import SymmetricFunctions, ribbons
+from qtsym import SymmetricFunctions, llt, ribbons
 from qtsym.errors import PartitionError, TableauError
-from qtsym.llt import llt_in_m, spin_distributions
+from qtsym.llt import llt_in_m
 from qtsym.partitions import Partition, distinct_permutations, partitions_of
 from qtsym.ribbons import (
     RibbonTableau,
@@ -70,6 +70,12 @@ def test_from_core_quotient_validates():
         from_core_and_quotient(Partition([2]), (Partition(),), 2)  # (2) is not a 2-core
     with pytest.raises(PartitionError):
         from_core_and_quotient(Partition(), (Partition(),), 2)  # wrong arity
+    # a k that is not an integer is a PartitionError, as k < 1 is
+    for k in (2.0, "2", [2]):
+        with pytest.raises(PartitionError, match="positive integer"):
+            core_and_quotient(Partition([2]), k)
+        with pytest.raises(PartitionError, match="positive integer"):
+            from_core_and_quotient(Partition(), (Partition(), Partition()), k)
 
 
 def test_single_domino_spins():
@@ -612,7 +618,7 @@ def test_strip_tables_are_dropped_past_the_entry_limit(monkeypatch):
 
 def test_ribbon_and_llt_passes_enumerate_each_strip_once(monkeypatch):
     monkeypatch.setattr(ribbons, "_STRIP_TABLES", {})
-    spin_distributions.cache_clear()
+    llt._spin_distributions.cache_clear()
     seen = []
 
     def counted(beads, k, count, cap):
@@ -636,4 +642,4 @@ def test_ribbon_and_llt_passes_enumerate_each_strip_once(monkeypatch):
                     llt_in_m(S, shape, k)
         assert len(seen) == listed
     finally:
-        spin_distributions.cache_clear()
+        llt._spin_distributions.cache_clear()
