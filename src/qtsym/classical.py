@@ -16,6 +16,7 @@ derives everything else by inverting and composing those edges.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from operator import sub
 
@@ -193,6 +194,7 @@ def register_classical(S) -> None:
     S.register_basis("h", "complete homogeneous symmetric functions", multiplicative=True)
     S.register_basis("p", "powersum symmetric functions", multiplicative=True)
     S.register_basis("s", "Schur functions", product=littlewood_richardson)
+    S = weakref.proxy(S)  # S holds the rules below: no reference cycle back
 
     def expand(table):
         def fn(lam: Partition):

@@ -16,25 +16,29 @@ against the plethysm `S.plethysm(g, A)`: A = 1/(1-t) for the t-deformed
   (1-t)(1-t^2)...(1-t^m) (ibid. III (2.11)).
 * QP: the dual family under the undeformed product, expanded over Schur
   functions by Kostka polynomials: QP_lam = sum_mu K_{mu,lam}(t) s_mu.
-* McdP: monic orthogonal family for the (q,t)-deformed product, built
-  from the Haglund-Haiman-Loehr formula for the modified Macdonald
-  polynomial H~_lam = sum over fillings of q^inv t^maj x^filling, which has
-  integer polynomial coefficients.  The integral form is
-  J_lam[X; q, t] = t^n(lam) H~_lam[X(1-t); q, 1/t], and
-  P_lam = J_lam / c_lam with c_lam = prod over cells (1 - q^arm t^(leg+1)).
-  `S.plethysm(H~, 1 - t)` gives X -> X(1-t), diagonal on powersums, so
-  the only rational step is one division by c_lam per coefficient.
+* McdP: monic orthogonal family for the (q,t)-deformed product, from the
+  Haglund-Haiman-Loehr formula (JAMS 18 (2005), section 8) for the
+  integral form J_lam = c_lam P_lam, c_lam = prod over the cells of lam of
+  (1 - q^arm t^(leg+1)).  It sums over fillings of the French diagram D
+  of lam' (row r holds lam'_r cells; arm and leg are D's), read by rows
+  from the top down, in which attacking cells (in one row, or the upper
+  one in the next row up and strictly to the right) hold different
+  letters.  A cell above a smaller letter is a descent: it adds leg+1 to
+  maj and its arm to coinv, which starts at the sum of the arms and loses
+  one per attacking pair read in decreasing order.  A filling weighs
+  q^maj t^coinv, times 1 - q^(leg+1) t^(arm+1) per cell equal to the one
+  below it and 1 - t per other cell.  J_lam is integral over m, so the
+  only rational step is one division by c_lam per coefficient.
 """
 
 from __future__ import annotations
 
-from .coeffs import ONE, Coeff, Q, T
-from .partitions import (
-    Partition,
-    distinct_permutations,
-    horizontal_strip_extensions,
-    partitions_of,
-)
+import weakref
+from functools import reduce
+
+from .coeffs import Coeff, _divided
+from .partitions import Partition, horizontal_strip_extensions, partitions_of
+from .poly import _ONE_POLY, _T, Poly, _pack, _poly_addmul, _poly_mul
 from .tableaux import kostka_poly
 
 
@@ -87,57 +91,58 @@ def _hl_terms(lam: Partition) -> dict[Partition, dict[int, int]]:
     return out
 
 
-def _hhl_terms(lam: Partition) -> dict[Partition, dict[tuple[int, int], int]]:
-    """t^n(lam) H~_lam(X; q, 1/t) over m, as integer polynomials in q, t.
+def _nonattacking(cells, i: int, content, f, key: int, equal: int, out) -> None:
+    """Extend the filling f of cells[:i] by each letter x left in content
+    that no cell attacked by cells[i] holds; a complete filling adds one to
+    out[equal, key], with key = q^maj t^coinv packed and equal its bits."""
+    if i == len(cells):
+        out[equal, key] = out.get((equal, key), 0) + 1
+        return
+    attacked, up, descent, bit = cells[i]
+    # the cells that cells[i] attacks attack one another, so in a
+    # nonattacking filling their letters differ: one bit each
+    seen = 0
+    for j in attacked:
+        seen |= 1 << f[j]
+    for x, left in enumerate(content):
+        if left and not seen >> x & 1:
+            step = key - (seen >> x).bit_count() * _T + (descent if f[up] > x else 0)
+            eq = equal | bit if f[up] == x else equal
+            f[i], content[x] = x, left - 1
+            _nonattacking(cells, i + 1, content, f, step, eq, out)
+            content[x] = left
 
-    Fillings live on the French diagram of lam (row 0 is the longest, at
-    the bottom) and are read in reading order: rows from top to bottom,
-    left to right within a row.  Two cells attack when they share a row,
-    or when the upper one sits in the next row up and strictly to the
-    right.  A descent is a cell whose entry exceeds the entry just below
-    it; maj sums leg+1 over descents, and inv counts attacking pairs read
-    in decreasing order minus the arms of the descents.
-    """
-    rows = lam.parts
-    heights = lam.conjugate().parts
-    pos = {}
-    for r in reversed(range(len(rows))):
+
+def _integral_form(lam: Partition) -> tuple[dict[Partition, Poly], Poly]:
+    """J_lam over m as integer polynomials in q and t, and c_lam: the
+    product of factors of each set of equal cells is formed once."""
+    n, rows, heights = lam.size, lam.conjugate().parts + (0,), lam.parts
+    pos, cells, weights, c_lam = {}, [], [], _ONE_POLY
+    for r in reversed(range(len(rows) - 1)):
         for c in range(rows[r]):
-            pos[r, c] = len(pos)
-    attacks = [
-        (pos[r, a], pos[r, b])
-        for r, length in enumerate(rows)
-        for a in range(length)
-        for b in range(a + 1, length)
-    ]
-    attacks += [
-        (pos[r + 1, j], pos[r, k])
-        for r in range(len(rows) - 1)
-        for j in range(rows[r + 1])
-        for k in range(j)
-    ]
-    # (upper cell, cell below, leg+1, arm) for every possible descent
-    descents = [
-        (pos[r, c], pos[r - 1, c], heights[c] - r, rows[r] - c - 1)
-        for r in range(1, len(rows))
-        for c in range(rows[r])
-    ]
-    top = lam.n_stat()
-    out = {}
-    for mu in partitions_of(lam.size):
-        content = tuple(i for i, mult in enumerate(mu.parts) for _ in range(mult))
-        poly: dict[tuple[int, int], int] = {}
-        for f in distinct_permutations(content):
-            inv = sum(f[a] > f[b] for a, b in attacks)
-            maj = 0
-            for u, v, leg1, arm in descents:
-                if f[u] > f[v]:
-                    maj += leg1
-                    inv -= arm
-            mono = (inv, top - maj)
-            poly[mono] = poly.get(mono, 0) + 1
-        out[mu] = poly
-    return out
+            i = pos[r, c] = len(pos)
+            leg, arm = heights[c] - r - 1, rows[r] - c - 1
+            c_lam = _poly_mul(c_lam, {0: 1, _pack(leg, arm + 1): -1})
+            # as an upper cell: its descent key and its bit
+            weights.append((_pack(leg + 1, arm), 1 << i))
+            attacked = [pos[r, b] for b in range(c)]
+            attacked += [pos[r + 1, j] for j in range(c + 1, rows[r + 1])]
+            # f[n] = -1 is the letter above the top of a column
+            up = pos.get((r + 1, c), n)
+            cells.append((attacked, up, *(weights[up] if up < n else (0, 0))))
+    out, factors = {}, {}
+    for mu in partitions_of(n):
+        groups, f = {}, [0] * n + [-1]
+        _nonattacking(cells, 0, list(mu.parts), f, lam.n_stat() * _T, 0, groups)
+        acc: Poly = {}
+        for (equal, key), count in groups.items():
+            if equal not in factors:
+                # 1 - q^(leg+1) t^(arm+1) for an equal cell, 1 - t for another
+                terms = [{0: 1, (d if equal & b else 0) + _T: -1} for d, b in weights]
+                factors[equal] = reduce(_poly_mul, terms, _ONE_POLY)
+            _poly_addmul(acc, {key: count}, factors[equal])
+        out[mu] = {mono: c for mono, c in acc.items() if c}
+    return out, c_lam
 
 
 def register_qt(S) -> None:
@@ -145,6 +150,7 @@ def register_qt(S) -> None:
     S.register_basis("Q", "Hall-Littlewood Q (scaled dual of P for hall_t)")
     S.register_basis("QP", "modified Hall-Littlewood Q' (Kostka transform of Schur)")
     S.register_basis("McdP", "Macdonald P (monic, orthogonal for hall_qt)")
+    S = weakref.proxy(S)  # S holds the rules below: no reference cycle back
 
     def p_to_m(lam: Partition):
         return S.element(
@@ -152,14 +158,8 @@ def register_qt(S) -> None:
         )
 
     def mcd_to_m(lam: Partition):
-        h = S.element("m", {mu: Coeff(poly) for mu, poly in _hhl_terms(lam).items()})
-        j_m = S.convert(S.plethysm(h, ONE - T), "m")
-        c_lam = ONE
-        conj = lam.conjugate().parts
-        for i, row in enumerate(lam.parts):
-            for j in range(row):
-                c_lam = c_lam * (ONE - Q ** (row - j - 1) * T ** (conj[j] - i))
-        return S.element("m", {mu: v / c_lam for mu, v in j_m.terms.items()})
+        j, c_lam = _integral_form(lam)
+        return S.element("m", {mu: _divided(num, c_lam) for mu, num in j.items()})
 
     def q_to_p(lam: Partition):
         b_lam = {0: 1}
@@ -169,12 +169,9 @@ def register_qt(S) -> None:
         return S.element("P", {lam: Coeff.from_t_poly(b_lam)})
 
     def qp_to_s(lam: Partition):
-        terms: dict[Partition, Coeff] = {}
-        for mu in partitions_of(lam.size):
-            poly = kostka_poly(mu, lam.parts)
-            if not poly.is_zero():
-                terms[mu] = poly
-        return S.element("s", terms)
+        return S.element(
+            "s", {mu: kostka_poly(mu, lam.parts) for mu in partitions_of(lam.size)}
+        )
 
     S.declare_conversion("P", "m", p_to_m)
     S.declare_conversion("Q", "P", q_to_p)

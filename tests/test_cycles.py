@@ -9,12 +9,13 @@ nothing: everything the calls made was freed by reference counting.
 """
 
 import gc
+import weakref
 
 import pytest
 
 import qtsym.cli  # noqa: F401 - every module is imported before counting
 import qtsym.exprs  # noqa: F401
-from qtsym import SymmetricFunctions, classical, llt, partitions, ribbons, rigged, tableaux
+from qtsym import SymmetricFunctions, classical, llt, partitions, qt, ribbons, rigged, tableaux
 from qtsym.coeffs import ONE, Q, T, Coeff
 from qtsym.partitions import Partition
 
@@ -56,6 +57,7 @@ ENUMERATORS = {
     "ribbon_tableaux": lambda: ribbons.ribbon_tableaux(SHAPE, (2, 1), 2),
     "ribbon_spin_histogram": lambda: ribbons.ribbon_spin_histogram(SHAPE, (2, 1), 2),
     "_configurations": lambda: list(rigged._configurations(LAM, MU)),
+    "_integral_form": lambda: qt._integral_form(LAM),
     "Coeff.substitute": lambda: ((ONE + Q * T**2) / (ONE - Q**3 * T)).substitute(
         q=T**2, t=Coeff.from_value(3)
     ),
@@ -105,6 +107,22 @@ def test_cold_conversions_leave_no_cycles():
                     S.conversion_matrix(frm, to, n)
 
     assert _left_for_the_collector(convert) == 0
+
+
+def test_discarded_registry_dies_with_its_last_reference():
+    # the conversion closures hold the registry weakly, so a registry that
+    # built McdP -> m is freed by reference counting when it is dropped
+    refs = []
+
+    def build_and_drop():
+        S = SymmetricFunctions()
+        for n in range(1, 5):
+            S.conversion_matrix("McdP", "m", n)
+        refs.append(weakref.ref(S))
+        del S
+        assert refs[0]() is None
+
+    assert _left_for_the_collector(build_and_drop) == 0
 
 
 def test_abandoned_generators_leave_no_cycles():

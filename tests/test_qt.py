@@ -2,10 +2,11 @@
 
 import pytest
 
-from qtsym.coeffs import ONE, Q, T, ZERO
+from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
 from qtsym.errors import ScalarProductError
-from qtsym.partitions import Partition, partitions_of
-from qtsym.qt import _hhl_terms
+from qtsym.partitions import Partition, distinct_permutations, partitions_of
+from qtsym.poly import _pack
+from qtsym.qt import _integral_form
 
 
 def test_hall_littlewood_p_goldens(S):
@@ -200,6 +201,61 @@ def _c_lam(lam):
     return out
 
 
+def _hhl_terms(lam: Partition) -> dict[Partition, dict[tuple[int, int], int]]:
+    """t^n(lam) H~_lam(X; q, 1/t) over m, as integer polynomials in q, t,
+    by filtering every distinct permutation of each content: the oracle
+    of the McdP -> m edge, which sums nonattacking fillings instead.
+
+    Fillings live on the French diagram of lam (row 0 is the longest, at
+    the bottom) and are read in reading order: rows from top to bottom,
+    left to right within a row.  Two cells attack when they share a row,
+    or when the upper one sits in the next row up and strictly to the
+    right.  A descent is a cell whose entry exceeds the entry just below
+    it; maj sums leg+1 over descents, and inv counts attacking pairs read
+    in decreasing order minus the arms of the descents.
+    """
+    rows = lam.parts
+    heights = lam.conjugate().parts
+    pos = {}
+    for r in reversed(range(len(rows))):
+        for c in range(rows[r]):
+            pos[r, c] = len(pos)
+    attacks = [
+        (pos[r, a], pos[r, b])
+        for r, length in enumerate(rows)
+        for a in range(length)
+        for b in range(a + 1, length)
+    ]
+    attacks += [
+        (pos[r + 1, j], pos[r, k])
+        for r in range(len(rows) - 1)
+        for j in range(rows[r + 1])
+        for k in range(j)
+    ]
+    # (upper cell, cell below, leg+1, arm) for every possible descent
+    descents = [
+        (pos[r, c], pos[r - 1, c], heights[c] - r, rows[r] - c - 1)
+        for r in range(1, len(rows))
+        for c in range(rows[r])
+    ]
+    top = lam.n_stat()
+    out = {}
+    for mu in partitions_of(lam.size):
+        content = tuple(i for i, mult in enumerate(mu.parts) for _ in range(mult))
+        poly: dict[tuple[int, int], int] = {}
+        for f in distinct_permutations(content):
+            inv = sum(f[a] > f[b] for a, b in attacks)
+            maj = 0
+            for u, v, leg1, arm in descents:
+                if f[u] > f[v]:
+                    maj += leg1
+                    inv -= arm
+            mono = (inv, top - maj)
+            poly[mono] = poly.get(mono, 0) + 1
+        out[mu] = poly
+    return out
+
+
 def test_hhl_fillings_golden():
     # H~_21 = s_3 + (q + t) s_21 + q t s_111, returned as t^n(lam) H~(q, 1/t)
     # over m, with n([2,1]) = 1
@@ -208,6 +264,37 @@ def test_hhl_fillings_golden():
         Partition([2, 1]): {(0, 1): 1, (1, 1): 1, (0, 0): 1},
         Partition([1, 1, 1]): {(0, 1): 1, (1, 1): 2, (0, 0): 2, (1, 0): 1},
     }
+
+
+def test_macdonald_integral_form_matches_plethysm_oracle(S):
+    # the construction the edge replaced: J_lam = t^n(lam) H~_lam[X(1-t); q, 1/t]
+    # from the filtered fillings, through p and back, divided by c_lam
+    for n in range(7):
+        for lam in partitions_of(n):
+            h = S.element("m", {mu: Coeff(poly) for mu, poly in _hhl_terms(lam).items()})
+            j_m = S.convert(S.plethysm(h, ONE - T), "m")
+            expected = {mu: v / _c_lam(lam) for mu, v in j_m.terms.items()}
+            assert S.convert(S.element("McdP", lam), "m").terms == expected, lam
+
+
+def test_macdonald_integral_form_golden(S):
+    # J_2 = (1 - q t)(1 - t) m_2 + (1 + q)(1 - t)^2 m_11, by hand from the
+    # nonattacking fillings of the column of height 2
+    lam = Partition([2])
+    j2 = (1 - Q * T) * (1 - T)
+    j11 = (1 + Q) * (1 - T) ** 2
+    assert S.convert(S.element("McdP", lam), "m").scaled(_c_lam(lam)) == S.element(
+        "m", {lam: j2, Partition([1, 1]): j11}
+    )
+    # and as the integer polynomials that the edge divides by c_2 = (1 - q t)(1 - t)
+    one, qt, q, t, t2 = _pack(0, 0), _pack(1, 1), _pack(1, 0), _pack(0, 1), _pack(0, 2)
+    assert _integral_form(lam) == (
+        {
+            lam: {one: 1, t: -1, qt: -1, qt + t: 1},
+            Partition([1, 1]): {one: 1, t: -2, t2: 1, q: 1, q + t: -2, q + t2: 1},
+        },
+        {one: 1, t: -1, qt: -1, qt + t: 1},
+    )
 
 
 def test_macdonald_hhl_matches_gram_schmidt_oracle(S):
@@ -238,6 +325,24 @@ def test_macdonald_specializations_at_degree_6(S):
             c = to_m.entry(mu, lam)
             assert c.substitute(q=0) == p_to_m.entry(mu, lam), (lam, mu)
             assert c.substitute(q=T) == s_to_m.entry(mu, lam), (lam, mu)
+
+
+def test_macdonald_at_t_one_is_monomial(S):
+    # P_lam(x; q, 1) = m_lam (Macdonald, Symmetric Functions and Hall
+    # Polynomials, VI §4)
+    for n in range(7):
+        for lam in partitions_of(n):
+            el = S.convert(S.element("McdP", lam), "m").substitute(t=1)
+            assert el == S.element("m", lam), lam
+
+
+def test_macdonald_at_q_one_is_elementary(S):
+    # P_lam(x; 1, t) = e_lam' (ibid.)
+    for n in range(7):
+        for lam in partitions_of(n):
+            el = S.convert(S.element("McdP", lam), "m").substitute(q=1)
+            e_conj = S.convert(S.element("e", lam.conjugate()), "m")
+            assert el == e_conj, lam
 
 
 def test_degenerate_scalar_product_is_reported():
