@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Iterable, Mapping
 
-from .coeffs import ONE, Q, T, ZERO, Coeff, dot
+from .coeffs import ONE, Q, T, ZERO, Coeff, _composed, _lifted, dot
 from .errors import BasisError, ScalarProductError
 from .linalg import CoeffMatrix
 from .partitions import Partition, partitions_of
@@ -249,15 +249,16 @@ class SymmetricFunctions:
         self._path_matrices: dict[tuple[str, str, int], CoeffMatrix] = {}
         # per source basis, its breadth-first parent tree over _adjacency()
         self._trees: dict[str, dict[str, tuple[str, _Edge] | None]] = {}
-        self._gs_cache: dict[tuple[str, int], dict[Partition, SymElement]] = {}
+        # the caches below hold terms, never a SymElement: an element refers
+        # back to this registry, and would keep it alive in a cycle
+        self._gs_cache: dict[tuple[str, int], dict[Partition, dict]] = {}
         # scalar-product caches: diagonal values per (product, nu), for good,
-        # and per (product, basis, lam) the lam column over p weighted by them
+        # and per (product, basis, lam) the lam column over p weighted by
+        # them, next to its lifted form (the one sum rule of `coeffs`)
         self._diagonals: dict[tuple[str, Partition], Coeff] = {}
-        self._weighted_columns: dict[
-            tuple[str, str, Partition], dict[Partition, Coeff]
-        ] = {}
-        # per (operator, partition), the operator's image of that partition
-        self._operator_images: dict[tuple[str, Partition], SymElement] = {}
+        self._weighted_columns: dict[tuple[str, str, Partition], tuple] = {}
+        # per (operator, partition), the basis and terms of its image
+        self._operator_images: dict[tuple[str, Partition], tuple[str, dict]] = {}
         from .classical import register_classical
         from .qt import register_qt
 
@@ -575,34 +576,42 @@ class SymmetricFunctions:
             value = self._diagonals[key] = self._scalar_products[product](nu)
         return value
 
-    def _weighted_column(
-        self, product: str, basis: str, lam: Partition
-    ) -> dict[Partition, Coeff]:
-        """nu -> <basis_lam, p_nu>: the lam column of the basis -> p matrix,
-        each entry times the diagonal at nu.  Cached per (product, basis, lam)."""
+    def _weighted_column(self, product: str, basis: str, lam: Partition) -> tuple:
+        """(column, lifted): column maps nu -> <basis_lam, p_nu>, the lam
+        column of the basis -> p matrix with each entry times the diagonal
+        at nu, and lifted is its `coeffs._lifted` form.  Cached per
+        (product, basis, lam)."""
         key = (product, basis, lam)
-        column = self._weighted_columns.get(key)
-        if column is None:
+        kept = self._weighted_columns.get(key)
+        if kept is None:
             column = self.conversion_matrix(basis, "p", lam.size).column(lam)
             column = {nu: c * self._diagonal(product, nu) for nu, c in column.items()}
-            self._weighted_columns[key] = column
-        return column
+            kept = self._weighted_columns[key] = (column, _lifted(column))
+        return kept
 
     def scalar(self, f: SymElement, g: SymElement, product: str = "hall") -> Coeff:
         """<f, g> for the named product, diagonal on powersums.
 
         Bilinear: g is converted to p once, and each term of f is paired
         with it through the cached weighted column of its basis element, so
-        the work is linear in the two supports.  Both sums divide once
-        (`coeffs.dot`).
+        the work is linear in the two supports.  Every sum follows the one
+        rule of `coeffs`: an inner sum of two or more products is composed
+        from the column's kept lifted form and from g, lifted once, on first
+        need; a single product, or a column that does not nest, is one `dot`.
         """
         if product not in self._scalar_products:
             raise BasisError(f"unknown scalar product {product!r}")
         gp = self.convert(g, "p").terms
+        lifted = None
         pairs = []
         for lam, c in f.terms.items():
-            column = self._weighted_column(product, f.basis, lam)
-            inner = dot([(w, gp[nu]) for nu, w in column.items() if nu in gp])
+            column, kept = self._weighted_column(product, f.basis, lam)
+            shared = [(column[nu], d) for nu, d in gp.items() if nu in column]
+            if kept is not None and len(shared) > 1:
+                lifted = lifted or _lifted(gp)
+                inner = _composed(column, kept, gp, lifted)
+            else:
+                inner = dot(shared)
             pairs.append((c, inner))
         return dot(pairs)
 
@@ -616,8 +625,12 @@ class SymmetricFunctions:
         """
         cache_key = (product, n)
         cached = self._gs_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._gs_cache[cache_key] = self._orthogonalized(n, product)
+        return {lam: SymElement(self, "m", terms) for lam, terms in cached.items()}
+
+    def _orthogonalized(self, n: int, product: str) -> dict[Partition, dict]:
+        """The m-coordinates of the family `gram_schmidt` returns."""
         if product not in self._scalar_products:
             raise BasisError(f"unknown scalar product {product!r}")
         keys = list(reversed(partitions_of(n)))  # lex increasing
@@ -632,7 +645,7 @@ class SymmetricFunctions:
             return total
 
         done: list[tuple[dict, dict, Coeff]] = []  # (m-coords, p-coords, norm)
-        result: dict[Partition, SymElement] = {}
+        result: dict[Partition, dict] = {}
         for lam in keys:
             m_coords = {lam: ONE}
             p_coords = dict(m_to_p.column(lam))
@@ -650,8 +663,7 @@ class SymmetricFunctions:
                     f"partition {lam}"
                 )
             done.append((m_coords, p_coords, norm))
-            result[lam] = SymElement(self, "m", m_coords)
-        self._gs_cache[cache_key] = result
+            result[lam] = m_coords
         return result
 
     # -- operators ---------------------------------------------------------
@@ -677,9 +689,10 @@ class SymmetricFunctions:
                 image = op.action(lam)
                 if not isinstance(image, SymElement):
                     raise BasisError(f"operator {name!r} returned a non-element")
-                self._operator_images[(name, lam)] = image
-            bucket = buckets.setdefault(image.basis, {})
-            for mu, d in image.terms.items():
+                image = self._operator_images[(name, lam)] = (image.basis, image.terms)
+            basis, terms = image
+            bucket = buckets.setdefault(basis, {})
+            for mu, d in terms.items():
                 bucket[mu] = bucket.get(mu, ZERO) + c * d
         pieces = [
             SymElement(self, basis, terms) for basis, terms in buckets.items()

@@ -19,8 +19,8 @@ kept in a canonical form:
 
 Every exponent stays below `poly.EXP_LIMIT` = 2^19, which keeps packed
 keys exact.  The constructor and `from_t_poly` reject larger input, and
-products, powers, sums and `dot` raise CoefficientError when their result,
-or a numerator or denominator they form on the way, would reach it.
+products, powers and sums raise CoefficientError when their result, or a
+numerator or denominator they form on the way, would reach it.
 
 The form is unique, so equality is a plain structural comparison and
 Coeff values can key dicts and land in sets.  `numerator_terms()` and
@@ -42,13 +42,25 @@ the gcd has already computed to verify itself.  Reducing num/den
 (`_divided`), cross-reducing a product and bringing two denominators of
 a sum together take those quotients, so no gcd divides anything twice.
 
-`dot`, the sum of products behind the entries of matrix and
-matrix-vector products whose denominators do not nest, adds each
-product into one running numerator in place (`_poly_addmul`) and drops
-the cancelled terms once at the end.  It recognises a unit denominator
-by identity with the shared `_ONE_POLY`, which `_make` stores for every
-unit denominator; a unit held as another dict only takes the general
-path, with the same result.
+Every sum of products -- `dot`, the entries of matrix and matrix-vector
+products, and scalar products -- follows one rule, as in Bareiss's
+fraction-free elimination.  Each side, the left factors and the right
+factors, is lifted over one denominator (`_lifted`): the denominator of
+highest total degree, times whatever integer the others need, with one
+exact cofactor per distinct denominator; a side of polynomials has
+denominator 1 and keeps its own numerators.  The sum is then the lifted
+numerators' products, added in place in Z[q,t] (`_poly_addmul`), over
+D * E, reduced by one gcd, or none over 1 (`_lifted_sum`).  When a side
+does not nest, or the two sides' degrees could reach EXP_LIMIT, the
+products are added one at a time as Coeff values instead
+(`_running_sum`), which raises exactly where that sum would; a single
+nonzero product is a * b.  A caller that uses one side many times, such
+as a matrix's rows, keeps its lifted form and sums from it
+(`_composed`); where a kept form does not nest, the sum is one `dot`
+over its nonzero pairs, whose own sides may.  A unit denominator is
+recognised by identity with the shared `_ONE_POLY`, which `_make` stores
+for every unit denominator; a unit held as another dict only takes the
+general path, with the same result.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from .poly import (
     _ONE_POLY,
     EXP_LIMIT,
     Poly,
+    _flat,
     _pack,
     _poly_add,
     _poly_addmul,
@@ -510,54 +523,22 @@ def _poly_eval(p: Poly, qv: Coeff, tv: Coeff) -> Coeff:
 def dot(pairs) -> Coeff:
     """The sum of a * b over the pairs (a, b) of Coeff, divided once.
 
-    Each product's raw denominator is a.den * b.den.  D is the one of
-    highest total degree, times whatever integer the others need beyond
-    its content.  When every denominator divides D, the numerators are
-    brought over D by exact cofactors and added in Z[q,t], and the sum is
-    reduced by one gcd with D: fraction-free, as in Bareiss elimination.
-    When one does not, a common denominator would be an lcm that can grow
-    far past D, so the products are added one at a time as Coeff values.
-    Two cases skip all of this: a single nonzero product is returned as
-    a * b, and when every denominator is 1 the numerators are just added.
-    Over D or over 1, each product is added into one running numerator
-    in place, and cancelled terms are dropped once at the end.  A
-    denominator is taken as 1 by identity with the shared `_ONE_POLY`; an
-    equal dict that is another object goes the cofactor way, to the same
-    result.  A sum whose products come near EXP_LIMIT is also added one
-    product at a time, so that it raises exactly when that sum would.
+    A single nonzero product is a * b.  Otherwise the left factors are
+    lifted over one denominator and, when they nest, the right factors
+    over another (`_lifted`), and the sum is taken from the two lifted
+    forms (`_lifted_sum`); when it cannot be, the products are added one
+    at a time (`_running_sum`).
     """
-    terms = []
-    for a, b in pairs:
-        if a.num and b.num:
-            terms.append((a, b, _product_den(a.den, b.den)))
+    terms = [(a, b) for a, b in pairs if a.num and b.num]
     if not terms:
         return ZERO
     if len(terms) == 1:
-        a, b, _ = terms[0]
+        [(a, b)] = terms
         return a * b
-    if all(den is _ONE_POLY for _, _, den in terms):
-        # None marks a cofactor of 1, which is never multiplied in
-        top, cofactors = _ONE_POLY, [None] * len(terms)
-    else:
-        common = _common_denominator([den for _, _, den in terms])
-        if common is None:
-            return _running_sum(terms)
-        top, cofactors = common
-    num: Poly = {}
-    for (a, b, _), cofactor in zip(terms, cofactors):
-        if cofactor is None:
-            _poly_addmul(num, a.num, b.num)
-        else:
-            product = _poly_mul(a.num, b.num)
-            # with both factors of total degree below EXP_LIMIT, no field
-            # of the triple product carries
-            if _total_degree(product) >= EXP_LIMIT:
-                return _running_sum(terms)
-            _poly_addmul(num, product, cofactor)
-    num = {mono: c for mono, c in num.items() if c}
-    if _poly_exceeds(num):
-        return _running_sum(terms)
-    return _divided(num, top)
+    left = _lifted(dict(enumerate(a for a, _ in terms)))
+    right = left and _lifted(dict(enumerate(b for _, b in terms)))
+    total = _lifted_sum(left, right)
+    return _running_sum(terms) if total is None else total
 
 
 def _product_den(a: Poly, b: Poly) -> Poly:
@@ -571,11 +552,11 @@ def _product_den(a: Poly, b: Poly) -> Poly:
 
 
 def _common_denominator(dens: list[Poly]) -> tuple[Poly, list[Poly | None]] | None:
-    """The nesting rule of `dot` and of matrix products: D is the
-    denominator of highest total degree, times whatever integer the
-    others need beyond its content.  Returns D and the exact cofactors
-    D / den, None where den equals D; None instead when some den does not
-    divide D, or when D's total degree reaches EXP_LIMIT."""
+    """The nesting rule: D is the denominator of highest total degree,
+    times whatever integer the others need beyond its content.  Returns D
+    and the exact cofactors D / den, None where den equals D; None instead
+    when some den does not divide D, or when D's total degree reaches
+    EXP_LIMIT."""
     top = max(dens, key=_total_degree)
     if _total_degree(top) >= EXP_LIMIT:
         return None
@@ -589,8 +570,64 @@ def _common_denominator(dens: list[Poly]) -> tuple[Poly, list[Poly | None]] | No
         return None
 
 
+def _lifted(entries: dict):
+    """Nonzero entries over one common denominator D, as (D, nums, degree):
+    nums maps the key of each entry e to e * D in Z[q,t], and degree is
+    the highest total degree of D and of any numerator.  D is 1 when every
+    entry is a polynomial, and else follows the nesting rule
+    (`_common_denominator`), with one cofactor per distinct denominator.
+    None when the denominators do not nest."""
+    if all(e.den is _ONE_POLY for e in entries.values()):
+        top, nums = _ONE_POLY, {k: e.num for k, e in entries.items()}
+    else:
+        flats = {k: _flat(e.den) for k, e in entries.items()}
+        dens = {flat: e.den for flat, e in zip(flats.values(), entries.values())}
+        common = _common_denominator(list(dens.values()))
+        if common is None:
+            return None
+        top, cofactors = common
+        cofactor = dict(zip(dens, cofactors))
+        nums = {}
+        for k, e in entries.items():
+            f = cofactor[flats[k]]
+            nums[k] = e.num if f is None else _poly_mul(e.num, f)
+    return top, nums, max(map(_total_degree, (top, *nums.values())))
+
+
+def _lifted_sum(a, b) -> Coeff | None:
+    """The sum of x_k * y_k over the keys k shared by the lifted forms
+    a = (D, x, _) and b = (E, y, _): the numerators' products added in
+    place in Z[q,t], over D * E, which is 1 or taken by one gcd.  None
+    when either side does not nest, or when their degrees sum to EXP_LIMIT
+    or more; below that no exponent of the sum or of D * E reaches it."""
+    if a is None or b is None or a[2] + b[2] >= EXP_LIMIT:
+        return None
+    den_a, nums_a, _ = a
+    den_b, nums_b, _ = b
+    num: Poly = {}
+    for k, y in nums_b.items():
+        x = nums_a.get(k)
+        if x is not None:
+            _poly_addmul(num, x, y)
+    if 0 in num.values():
+        num = {mono: c for mono, c in num.items() if c}
+    return _divided(num, _product_den(den_a, den_b))
+
+
+def _composed(left: dict, lifted_left, right: dict, lifted_right) -> Coeff:
+    """The sum of left[k] * right[k] over the keys of both mappings of
+    nonzero entries, from their kept lifted forms (`_lifted_sum`); when
+    it cannot be, one `dot` over those pairs, and zero when there is
+    none."""
+    total = _lifted_sum(lifted_left, lifted_right)
+    if total is None:
+        pairs = [(left[k], c) for k, c in right.items() if k in left]
+        total = dot(pairs) if pairs else ZERO
+    return total
+
+
 def _running_sum(terms) -> Coeff:
-    return sum((a * b for a, b, _ in terms), ZERO)
+    return sum((a * b for a, b in terms), ZERO)
 
 
 ZERO = _make({}, _ONE_POLY)

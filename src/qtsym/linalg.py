@@ -5,20 +5,11 @@ in row-major lists of Coeff.  Rows and columns are keyed by arbitrary
 hashable labels (partitions in practice); keys travel with the matrix so
 composition and inversion cannot silently misalign bases.
 
-Products bring each row of the left factor over one denominator D_i
-and each column of the right factor over one denominator E_j (`_lifted`),
-by the nesting rule of `coeffs.dot`: the denominator of highest total
-degree, times any integer the others need, with one exact cofactor per
-distinct denominator.  A row or column of polynomials has denominator 1,
-and its lifted numerators are the entries' own.  A matrix is not changed
-after it is built, so it lifts its rows and its columns once, on first
-use, and keeps them for every later product it is a factor of.  Entry
-(i, j) is then the sum of the lifted numerators' products, added in
-place in Z[q,t], over D_i * E_j and reduced by one gcd, as in Bareiss's
-fraction-free elimination; over denominator 1 it is packaged with no gcd
-at all (`_composed`).  An entry whose row or column does not nest, or
-whose degree could come near EXP_LIMIT, is one `dot` over the pairs of
-nonzero entries instead.
+Products follow the one sum rule described in `coeffs`: entry (i, j) is
+the sum of the row's and the column's lifted numerators' products over
+D_i * E_j (`coeffs._composed`).  A matrix is not changed after it is
+built, so it lifts its rows and its columns once, on first use, and
+keeps them for every later product it is a factor of.
 
 A matrix-vector product is the same with the vector as the one column:
 the vector is brought over one denominator once, and each output entry
@@ -31,17 +22,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping
 
-from .coeffs import ONE, ZERO, Coeff, _common_denominator, _divided, _product_den, dot
+from .coeffs import ONE, ZERO, Coeff, _composed, _lifted
 from .errors import SingularMatrixError
-from .poly import (
-    _ONE_POLY,
-    EXP_LIMIT,
-    Poly,
-    _flat,
-    _poly_addmul,
-    _poly_mul,
-    _total_degree,
-)
 
 Key = Hashable
 
@@ -111,21 +93,16 @@ class CoeffMatrix:
         )
 
     def _rows_lifted(self) -> list:
-        """`_lifted` of each row, computed on first use and kept."""
+        """`_kept` rows, computed on first use and kept."""
         if self._lifted_rows is None:
-            self._lifted_rows = [_lifted(row) for row in self.rows]
+            self._lifted_rows = _kept(self.rows)
         return self._lifted_rows
 
     def _cols_lifted(self) -> list:
-        """Each column as (col, lifted): col lists its nonzero entries as
-        (row index, entry) pairs, and lifted is `_lifted` of those entries;
-        computed on first use and kept."""
+        """`_kept` columns, computed on first use and kept."""
         if self._lifted_cols is None:
-            cols = [
-                [(k, row[j]) for k, row in enumerate(self.rows) if row[j].num]
-                for j in range(len(self.col_keys))
-            ]
-            self._lifted_cols = [(col, _lifted([c for _, c in col])) for col in cols]
+            n = len(self.col_keys)
+            self._lifted_cols = _kept([row[j] for row in self.rows] for j in range(n))
         return self._lifted_cols
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
@@ -136,8 +113,8 @@ class CoeffMatrix:
             raise ValueError("matrix composition with mismatched keys")
         cols = other._cols_lifted()
         rows = [
-            [_composed(left, lifted_row, col, lifted_col) for col, lifted_col in cols]
-            for left, lifted_row in zip(self.rows, self._rows_lifted())
+            [_composed(row, lifted_row, col, lifted_col) for col, lifted_col in cols]
+            for row, lifted_row in self._rows_lifted()
         ]
         return CoeffMatrix(self.row_keys, other.col_keys, rows)
 
@@ -155,17 +132,17 @@ class CoeffMatrix:
         otherwise the vector is lifted over one denominator, as a column,
         and each output entry is `_composed` from the kept lifted row.
         """
-        terms = [(ck, v) for ck, v in vector.items() if v.num]
+        terms = {ck: v for ck, v in vector.items() if v.num}
         if len(terms) == 1:
-            [(ck, value)] = terms
+            [(ck, value)] = terms.items()
             column = self.column(ck)
             if value.is_one():
                 return column
             return {rk: e * value for rk, e in column.items()}
-        terms = [(self._col_index[ck], v) for ck, v in terms]
-        lifted = _lifted([v for _, v in terms])
+        terms = {self._col_index[ck]: v for ck, v in terms.items()}
+        lifted = _lifted(terms)
         out: dict[Key, Coeff] = {}
-        for rk, row, lifted_row in zip(self.row_keys, self.rows, self._rows_lifted()):
+        for rk, (row, lifted_row) in zip(self.row_keys, self._rows_lifted()):
             s = _composed(row, lifted_row, terms, lifted)
             if s.num:
                 out[rk] = s
@@ -222,56 +199,11 @@ class CoeffMatrix:
         return f"CoeffMatrix({len(self.row_keys)}x{len(self.col_keys)})"
 
 
-def _lifted(entries: list[Coeff]):
-    """The entries over one common denominator D, as (D, nums, degree):
-    nums[k] = entries[k] * D in Z[q,t], or None where entries[k] is zero,
-    and degree is the highest total degree of D and of any nums[k].  D
-    is 1 when every nonzero entry is a polynomial, and else follows `dot`'s
-    nesting rule (`_common_denominator`), with one cofactor per distinct
-    denominator.  None when the denominators do not nest."""
-    if all(e.den is _ONE_POLY for e in entries if e.num):
-        top, nums = _ONE_POLY, [e.num or None for e in entries]
-    else:
-        keys = [_flat(e.den) if e.num else None for e in entries]
-        dens = {key: e.den for key, e in zip(keys, entries) if key is not None}
-        common = _common_denominator(list(dens.values()))
-        if common is None:
-            return None
-        top, cofactors = common
-        cofactor = dict(zip(dens, cofactors))
-        nums = []
-        for key, e in zip(keys, entries):
-            if key is None or cofactor[key] is None:
-                nums.append(e.num or None)
-            else:
-                nums.append(_poly_mul(e.num, cofactor[key]))
-    degree = max(_total_degree(num) for num in (top, *nums) if num is not None)
-    return top, nums, degree
-
-
-def _composed(left: list, lifted_row, col: list, lifted_col) -> Coeff:
-    """One entry of a product of the row `left`, lifted as `lifted_row`, and
-    the column whose nonzero entries are the (index, entry) pairs `col`,
-    lifted as `lifted_col`: the lifted numerators' products added in
-    place in Z[q,t], over D_i * E_j.  That denominator is 1 or taken by
-    one gcd; the row's and column's degrees sum below EXP_LIMIT, so no
-    exponent of the sum reaches it.  When either does not nest, or their
-    degrees could reach EXP_LIMIT, the entry is one `dot` over the pairs
-    of nonzero entries instead, and zero when there is none."""
-    if (
-        lifted_row is None
-        or lifted_col is None
-        or lifted_row[2] + lifted_col[2] >= EXP_LIMIT
-    ):
-        pairs = [(left[k], c) for k, c in col if left[k].num]
-        return dot(pairs) if pairs else ZERO
-    row_den, row_nums, _ = lifted_row
-    col_den, col_nums, _ = lifted_col
-    num: Poly = {}
-    for (k, _), right in zip(col, col_nums):
-        mine = row_nums[k]
-        if mine is not None:
-            _poly_addmul(num, mine, right)
-    if 0 in num.values():
-        num = {mono: c for mono, c in num.items() if c}
-    return _divided(num, _product_den(row_den, col_den))
+def _kept(lines) -> list:
+    """Each line of entries as (entries, lifted): entries maps the index of
+    each nonzero entry to it, and lifted is `_lifted` of those."""
+    kept = []
+    for line in lines:
+        entries = {k: e for k, e in enumerate(line) if e.num}
+        kept.append((entries, _lifted(entries)))
+    return kept

@@ -901,7 +901,8 @@ def test_divexact_by_one_term_raises_when_inexact():
 def test_dot_fixed_cases():
     assert dot([]) == ZERO
     assert dot([(ZERO, ONE / (1 - Q)), (Q, ZERO)]) == ZERO
-    # neither denominator divides the other: the running-sum fallback
+    # the products' denominators 1-q and 1-t do not nest, but each side's
+    # do: one sum over (1-t)(1-q)
     got = dot([(ONE, ONE / (1 - Q)), (ONE / (1 - T), ONE)])
     assert got == (2 - Q - T) / ((1 - Q) * (1 - T))
     # nested denominators share (1-q)^2
@@ -914,6 +915,20 @@ def test_dot_fixed_cases():
     assert dot([(Q, ONE / (1 - Q)), (-Q, ONE / (1 - Q))]) == ZERO
     # a common factor of the summed numerator and the denominator cancels
     assert dot([(ONE / (1 - Q), ONE), (-Q, ONE / (1 - Q))]) == ONE
+
+
+def test_dot_nests_per_side_where_the_products_do_not(monkeypatch):
+    # the left factors 1, 1/(1-t) nest and so do the right factors
+    # 1/(1-q), 1, so the sum takes no running sum
+    def no_running_sum(terms):
+        raise AssertionError("a sum that nests per side fell back")
+
+    pairs = [(ONE, ONE / (1 - Q)), (ONE / (1 - T), ONE)]
+    want = sum((a * b for a, b in pairs), ZERO)
+    monkeypatch.setattr(coeffs, "_running_sum", no_running_sum)
+    got = dot(pairs)
+    assert got.num == want.num and got.den == want.den
+    _assert_canonical(got)
 
 
 def test_dot_short_paths():

@@ -125,6 +125,29 @@ def test_discarded_registry_dies_with_its_last_reference():
     assert _left_for_the_collector(build_and_drop) == 0
 
 
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda S: S.gram_schmidt(3, "hall_qt"),
+        lambda S: S.apply_operator("omega", S["s"]([2, 1])),
+    ],
+    ids=["gram_schmidt", "apply_operator"],
+)
+def test_registry_with_cached_results_dies_with_its_last_reference(use):
+    # the Gram-Schmidt and operator-image caches hold terms, not elements,
+    # which refer back to the registry and would keep it alive in a cycle
+    refs = []
+
+    def use_and_drop():
+        S = SymmetricFunctions()
+        use(S)
+        refs.append(weakref.ref(S))
+        del S
+        assert refs[0]() is None
+
+    assert _left_for_the_collector(use_and_drop) == 0
+
+
 def test_abandoned_generators_leave_no_cycles():
     def abandon():
         assert next(partitions.distinct_permutations((1, 1, 2, 3))) == (1, 1, 2, 3)

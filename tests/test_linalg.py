@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtsym import linalg
+from qtsym import coeffs, linalg
 from qtsym.coeffs import ONE, Q, T, ZERO, Coeff
 from qtsym.errors import CoefficientError, SingularMatrixError
 from qtsym.linalg import CoeffMatrix
@@ -246,14 +246,14 @@ def _random_sparse(
 
 def test_compose_pairs_only_nonzero_entries(monkeypatch):
     seen = []
-    kernel = linalg.dot
+    kernel = coeffs.dot
 
     def spy(pairs):
         assert pairs and all(a.num and b.num for a, b in pairs)
         seen.append(1)
         return kernel(pairs)
 
-    monkeypatch.setattr(linalg, "dot", spy)
+    monkeypatch.setattr(coeffs, "dot", spy)
     rng = random.Random(12)
     for n_rows, n_mid, n_cols in ((3, 4, 2), (4, 2, 5), (1, 3, 1), (5, 5, 5)):
         rk = tuple(f"r{i}" for i in range(n_rows))
@@ -317,7 +317,7 @@ def test_compose_over_one_denominator_calls_no_dot(monkeypatch):
         for _ in range(10)
     ]
     with monkeypatch.context() as m:
-        m.setattr(linalg, "dot", no_dot)
+        m.setattr(coeffs, "dot", no_dot)
         products = [a @ b for a, b in pairs]
     assert products == [_running_sum_matmul(a, b) for a, b in pairs]
 
@@ -415,13 +415,13 @@ def test_kept_lifts_survive_deep_copies_and_pickles():
 
 def test_apply_on_rows_that_do_not_nest_is_the_running_sum(monkeypatch):
     seen = []
-    kernel = linalg.dot
+    kernel = coeffs.dot
 
     def spy(pairs):
         seen.append(1)
         return kernel(pairs)
 
-    monkeypatch.setattr(linalg, "dot", spy)
+    monkeypatch.setattr(coeffs, "dot", spy)
     rng = random.Random(23)
     for kind in sorted(_KINDS):
         m = _random_sparse(rng, range(5), range(4), values=_KINDS["unnested"])
@@ -436,13 +436,13 @@ def test_apply_at_the_exponent_limit_is_the_running_sum(monkeypatch):
     # such entry is one dot, which raises exactly where the running sum
     # does, and equals it where that sum stays within the limit
     seen = []
-    kernel = linalg.dot
+    kernel = coeffs.dot
 
     def spy(pairs):
         seen.append(1)
         return kernel(pairs)
 
-    monkeypatch.setattr(linalg, "dot", spy)
+    monkeypatch.setattr(coeffs, "dot", spy)
     rows = [[Q**_HALF / (1 - T), ONE / (1 - T) ** 2], [ONE, T]]
     m = CoeffMatrix(("x", "y"), ("u", "v"), rows)
     vector = {"u": Q**_HALF, "v": T}
