@@ -577,15 +577,19 @@ class SymmetricFunctions:
         return value
 
     def _weighted_column(self, product: str, basis: str, lam: Partition) -> tuple:
-        """(column, lifted): column maps nu -> <basis_lam, p_nu>, the lam
-        column of the basis -> p matrix with each entry times the diagonal
-        at nu, and lifted is its `coeffs._lifted` form.  Cached per
-        (product, basis, lam)."""
+        """(column, lifted): column maps nu -> <basis_lam, p_nu> where that
+        is nonzero, the lam column of the basis -> p matrix with each entry
+        times the diagonal at nu, and lifted is its `coeffs._lifted` form.
+        Cached per (product, basis, lam)."""
         key = (product, basis, lam)
         kept = self._weighted_columns.get(key)
         if kept is None:
             column = self.conversion_matrix(basis, "p", lam.size).column(lam)
-            column = {nu: c * self._diagonal(product, nu) for nu, c in column.items()}
+            column = {
+                nu: w
+                for nu, c in column.items()
+                if (w := c * self._diagonal(product, nu)).num
+            }
             kept = self._weighted_columns[key] = (column, _lifted(column))
         return kept
 
@@ -596,19 +600,21 @@ class SymmetricFunctions:
         with it through the cached weighted column of its basis element, so
         the work is linear in the two supports.  Every sum follows the one
         rule of `coeffs`: an inner sum of two or more products is composed
-        from the column's kept lifted form and from g, lifted once, on first
-        need; a single product, or a column that does not nest, is one `dot`.
+        from the column's kept lifted form and from g, lifted at most once,
+        on first need; a single product, or a column that does not nest, is
+        one `dot`.
         """
         if product not in self._scalar_products:
             raise BasisError(f"unknown scalar product {product!r}")
         gp = self.convert(g, "p").terms
-        lifted = None
+        lifted = False  # not lifted yet; None once g is found not to nest
         pairs = []
         for lam, c in f.terms.items():
             column, kept = self._weighted_column(product, f.basis, lam)
             shared = [(column[nu], d) for nu, d in gp.items() if nu in column]
             if kept is not None and len(shared) > 1:
-                lifted = lifted or _lifted(gp)
+                if lifted is False:
+                    lifted = _lifted(gp)
                 inner = _composed(column, kept, gp, lifted)
             else:
                 inner = dot(shared)

@@ -315,13 +315,16 @@ def _zee_weight(product, lam):
     return out
 
 
-def _reference_scalar(S, f, g, product):
-    """<f, g> from both arguments in p, added one product at a time."""
+def _reference_scalar(S, f, g, product, weight=None):
+    """<f, g> from both arguments in p, added one product at a time;
+    weight(lam) is <p_lam, p_lam>, by default that of a built-in pairing."""
+    if weight is None:
+        weight = lambda lam: _zee_weight(product, lam)  # noqa: E731
     fp, gp = S.convert(f, "p").terms, S.convert(g, "p").terms
     total = ZERO
     for lam, c in fp.items():
         if lam in gp:
-            total = total + c * gp[lam] * _zee_weight(product, lam)
+            total = total + c * gp[lam] * weight(lam)
     return total
 
 
@@ -348,6 +351,58 @@ def test_scalar_equals_running_sum_in_p(S, product):
                 g = _random_element(S, rng, b, degrees)
                 expected = _reference_scalar(S, f, g, product)
                 assert S.scalar(f, g, product) == expected, (f, g)
+
+
+def _odd_parts_weight(lam):
+    """The hall_qt diagonal on partitions into odd parts, zero elsewhere."""
+    if any(part % 2 == 0 for part in lam):
+        return ZERO
+    return _zee_weight("hall_qt", lam)
+
+
+@pytest.mark.parametrize(
+    "name, weight",
+    [("degenerate", lambda lam: ZERO), ("odd_parts", _odd_parts_weight)],
+    ids=["degenerate", "odd_parts"],
+)
+def test_scalar_with_zeros_on_the_diagonal_equals_running_sum(name, weight):
+    fresh = SymmetricFunctions()
+    fresh.register_scalar_product(name, weight)
+    rng = random.Random(name)
+    for n in range(1, 5):
+        for a in _PAIRING_BASES:
+            for b in _PAIRING_BASES:
+                f = _random_element(fresh, rng, a, (n,))
+                g = _random_element(fresh, rng, b, (n,))
+                expected = _reference_scalar(fresh, f, g, name, weight)
+                assert fresh.scalar(f, g, name) == expected, (f, g)
+
+
+def test_scalar_lifts_g_at_most_once(S, monkeypatch):
+    """g's powersum expansion is lifted at most once per pairing, also when
+    it does not nest and several terms of f pair with it."""
+    import qtsym.algebra
+
+    p = lambda *parts: S.element("p", {Partition(parts): ONE})  # noqa: E731
+    g = p(2, 1) / (1 - Q) + p(3) / (1 - T)  # denominators that do not nest
+    f = S.element("s", {lam: ONE for lam in partitions_of(3)})
+    products = ("hall", "hall_t", "hall_qt")
+    for product in products:
+        S.scalar(f, g, product)  # the weighted columns are now kept
+    lifts = []
+    real = qtsym.algebra._lifted
+
+    def counting(entries):
+        lifts.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(qtsym.algebra, "_lifted", counting)
+    for product in products:
+        lifts.clear()
+        assert S.scalar(f, g, product) == _reference_scalar(S, f, g, product)
+        assert len(lifts) <= 1, product
+        if product == "hall":  # rational columns, which nest
+            assert len(lifts) == 1
 
 
 _ALPHABETS = (ONE, 1 - T, ONE / (1 - T), (1 - Q) / (1 - T), Q + T, Fraction(-1, 2))
