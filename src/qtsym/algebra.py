@@ -59,9 +59,15 @@ def _by_degree(terms: Mapping[Partition, Coeff]) -> dict[int, dict[Partition, Co
 
 
 class SymElement:
-    """A finite Q(q,t)-linear combination of basis elements."""
+    """A finite Q(q,t)-linear combination of basis elements.
 
-    __slots__ = ("algebra", "basis", "terms")
+    An element that `SymmetricFunctions.convert` made from one basis
+    element keeps, in `_column`, the (matrix, index) of the conversion
+    matrix column its terms are, for the next sum that reads them; every
+    other element has None there.  Equality and hashing ignore it.
+    """
+
+    __slots__ = ("algebra", "basis", "terms", "_column")
 
     def __init__(self, algebra: "SymmetricFunctions", basis: str, terms):
         self.algebra = algebra
@@ -69,6 +75,7 @@ class SymElement:
         self.terms = {
             lam: c for lam, c in terms.items() if not c.is_zero()
         }
+        self._column = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -494,15 +501,24 @@ class SymmetricFunctions:
 
         The terms are split by degree into plain dicts, and each is applied
         to that degree's conversion matrix; the degrees share no partition,
-        so the images just fill one output dict.
+        so the images just fill one output dict.  One basis element with
+        coefficient 1 converts to a column of the matrix, and the result
+        hands that column over (`SymElement._column`): converting it again,
+        or pairing it, reads the column's kept lifted form.
         """
         self._require_basis(target)
         if el.basis == target:
             return el
         out: dict[Partition, Coeff] = {}
         for n, terms in _by_degree(el.terms).items():
-            out.update(self.conversion_matrix(el.basis, target, n).apply(terms))
-        return SymElement(self, target, out)
+            matrix = self.conversion_matrix(el.basis, target, n)
+            out.update(matrix.apply(terms, el._column))
+        converted = SymElement(self, target, out)
+        if len(el.terms) == 1:
+            [(lam, c)] = el.terms.items()
+            if c.is_one():
+                converted._column = (matrix, matrix._col_index[lam])
+        return converted
 
     def plethysm(self, el: SymElement, alphabet) -> SymElement:
         """el[XA] in p for a coefficient A: each p_nu times p_nu[A], with
@@ -577,17 +593,18 @@ class SymmetricFunctions:
         return value
 
     def _weighted_column(self, product: str, basis: str, lam: Partition) -> tuple:
-        """(column, lifted): column maps nu -> <basis_lam, p_nu> where that
-        is nonzero, the lam column of the basis -> p matrix with each entry
-        times the diagonal at nu, and lifted is its `coeffs._lifted` form.
-        Cached per (product, basis, lam)."""
+        """(column, lifted): column maps the row index i of nu, its place in
+        partitions_of(n) as in every conversion matrix, to <basis_lam, p_nu>
+        where that is nonzero: the lam column of the basis -> p matrix with
+        each entry times the diagonal at nu.  lifted is its
+        `coeffs._lifted` form.  Cached per (product, basis, lam)."""
         key = (product, basis, lam)
         kept = self._weighted_columns.get(key)
         if kept is None:
-            column = self.conversion_matrix(basis, "p", lam.size).column(lam)
+            matrix = self.conversion_matrix(basis, "p", lam.size)
             column = {
-                nu: w
-                for nu, c in column.items()
+                matrix._row_index[nu]: w
+                for nu, c in matrix.column(lam).items()
                 if (w := c * self._diagonal(product, nu)).num
             }
             kept = self._weighted_columns[key] = (column, _lifted(column))
@@ -600,22 +617,36 @@ class SymmetricFunctions:
         with it through the cached weighted column of its basis element, so
         the work is linear in the two supports.  Every sum follows the one
         rule of `coeffs`: an inner sum of two or more products is composed
-        from the column's kept lifted form and from g, lifted at most once,
-        on first need; a single product, or a column that does not nest, is
-        one `dot`.
+        from the column's kept lifted form and from g's terms of that
+        degree, keyed by row index like the column.  When g is one basis
+        element, its conversion hands over its column of the basis -> p
+        matrix, kept lifted there; any other g is lifted at most once per
+        degree, on first need.  A single product, or a column that does not
+        nest, is one `dot`.
         """
         if product not in self._scalar_products:
             raise BasisError(f"unknown scalar product {product!r}")
-        gp = self.convert(g, "p").terms
-        lifted = False  # not lifted yet; None once g is found not to nest
+        gp = self.convert(g, "p")
+        # per degree, [g's terms keyed by row index, their lifted form]; the
+        # form is False until lifted, and None when they do not nest
+        sides: dict[int, list] = {}
+        if gp._column is not None:
+            matrix, j = gp._column
+            sides[matrix.row_keys[0].size] = list(matrix._col_lifted(j))
         pairs = []
         for lam, c in f.terms.items():
             column, kept = self._weighted_column(product, f.basis, lam)
-            shared = [(column[nu], d) for nu, d in gp.items() if nu in column]
+            side = sides.get(lam.size)
+            if side is None:
+                index = {nu: i for i, nu in enumerate(partitions_of(lam.size))}
+                terms = {index[nu]: d for nu, d in gp.terms.items() if nu in index}
+                side = sides[lam.size] = [terms, False]
+            terms, lifted = side
+            shared = [(column[i], d) for i, d in terms.items() if i in column]
             if kept is not None and len(shared) > 1:
                 if lifted is False:
-                    lifted = _lifted(gp)
-                inner = _composed(column, kept, gp, lifted)
+                    lifted = side[1] = _lifted(terms)
+                inner = _composed(column, kept, terms, lifted)
             else:
                 inner = dot(shared)
             pairs.append((c, inner))

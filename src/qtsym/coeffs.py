@@ -56,8 +56,11 @@ products are added one at a time as Coeff values instead
 (`_running_sum`), which raises exactly where that sum would; a single
 nonzero product is a * b.  A caller that uses one side many times, such
 as a matrix's rows, keeps its lifted form and sums from it
-(`_composed`); where a kept form does not nest, the sum is one `dot`
-over its nonzero pairs, whose own sides may.  A unit denominator is
+(`_composed`); a matrix keeps each column's lifted form too, on that
+column's first use, and a converted basis element, which is one such
+column, hands it to the next conversion or pairing that reads it.  Where
+a kept form does not nest, the sum is one `dot` over its nonzero pairs,
+whose own sides may.  A unit denominator is
 recognised by identity with the shared `_ONE_POLY`, which `_make` stores
 for every unit denominator; a unit held as another dict only takes the
 general path, with the same result.

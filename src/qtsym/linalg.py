@@ -8,14 +8,18 @@ composition and inversion cannot silently misalign bases.
 Products follow the one sum rule described in `coeffs`: entry (i, j) is
 the sum of the row's and the column's lifted numerators' products over
 D_i * E_j (`coeffs._composed`).  A matrix is not changed after it is
-built, so it lifts its rows and its columns once, on first use, and
-keeps them for every later product it is a factor of.
+built, so it keeps what it lifts for every later sum that reads it: all
+its rows at once, on first use, and each column by itself, on the first
+use of that column.
 
 A matrix-vector product is the same with the vector as the one column:
 the vector is brought over one denominator once, and each output entry
-is composed from the kept lifted row.  Applying the matrix to a vector
-with one nonzero entry sums nothing: it scales that column.  Inversion
-eliminates on the rows of [A | I], whose right half ends as the inverse.
+is composed from the kept lifted row.  A vector that is a column of
+another matrix, such as a converted basis element, is not lifted again:
+that matrix's kept form of the column is read.  Applying the matrix to a
+vector with one nonzero entry sums nothing: it scales that column.
+Inversion eliminates on the rows of [A | I], whose right half ends as
+the inverse.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class CoeffMatrix:
             raise ValueError("matrix shape does not match its keys")
         self._row_index = {k: i for i, k in enumerate(self.row_keys)}
         self._col_index = {k: j for j, k in enumerate(self.col_keys)}
-        self._lifted_rows = self._lifted_cols = None
+        self._lifted_rows = None
+        self._lifted_cols = [None] * len(self.col_keys)
 
     @classmethod
     def identity(cls, keys: Iterable[Key]) -> "CoeffMatrix":
@@ -93,17 +98,17 @@ class CoeffMatrix:
         )
 
     def _rows_lifted(self) -> list:
-        """`_kept` rows, computed on first use and kept."""
+        """Every row's `_kept` form, computed on first use and kept."""
         if self._lifted_rows is None:
-            self._lifted_rows = _kept(self.rows)
+            self._lifted_rows = [_kept(row) for row in self.rows]
         return self._lifted_rows
 
-    def _cols_lifted(self) -> list:
-        """`_kept` columns, computed on first use and kept."""
-        if self._lifted_cols is None:
-            n = len(self.col_keys)
-            self._lifted_cols = _kept([row[j] for row in self.rows] for j in range(n))
-        return self._lifted_cols
+    def _col_lifted(self, j: int) -> tuple:
+        """Column j's `_kept` form, computed on first use and kept."""
+        kept = self._lifted_cols[j]
+        if kept is None:
+            kept = self._lifted_cols[j] = _kept([row[j] for row in self.rows])
+        return kept
 
     def __matmul__(self, other: "CoeffMatrix") -> "CoeffMatrix":
         """Composition: entry (i, j) from the kept lifted row of self and
@@ -111,7 +116,7 @@ class CoeffMatrix:
         where both factors are nonzero is zero."""
         if self.col_keys != other.row_keys:
             raise ValueError("matrix composition with mismatched keys")
-        cols = other._cols_lifted()
+        cols = [other._col_lifted(j) for j in range(len(other.col_keys))]
         rows = [
             [_composed(row, lifted_row, col, lifted_col) for col, lifted_col in cols]
             for row, lifted_row in self._rows_lifted()
@@ -125,12 +130,15 @@ class CoeffMatrix:
         ]
         return CoeffMatrix(self.col_keys, self.row_keys, rows)
 
-    def apply(self, vector: Mapping[Key, Coeff]) -> dict[Key, Coeff]:
+    def apply(self, vector: Mapping[Key, Coeff], source=None) -> dict[Key, Coeff]:
         """Matrix-vector product; vectors are sparse dicts on column keys.
 
         A vector with one nonzero entry scales that column, with no sum;
-        otherwise the vector is lifted over one denominator, as a column,
-        and each output entry is `_composed` from the kept lifted row.
+        otherwise each output entry is `_composed` from the kept lifted row
+        and the vector lifted over one denominator, as a column.  When
+        source = (matrix, j) says the vector is column j of a matrix whose
+        rows are this matrix's columns, that column's kept form is read
+        instead of lifting the vector again.
         """
         terms = {ck: v for ck, v in vector.items() if v.num}
         if len(terms) == 1:
@@ -139,8 +147,11 @@ class CoeffMatrix:
             if value.is_one():
                 return column
             return {rk: e * value for rk, e in column.items()}
-        terms = {self._col_index[ck]: v for ck, v in terms.items()}
-        lifted = _lifted(terms)
+        if source is not None and source[0].row_keys == self.col_keys:
+            terms, lifted = source[0]._col_lifted(source[1])
+        else:
+            terms = {self._col_index[ck]: v for ck, v in terms.items()}
+            lifted = _lifted(terms)
         out: dict[Key, Coeff] = {}
         for rk, (row, lifted_row) in zip(self.row_keys, self._rows_lifted()):
             s = _composed(row, lifted_row, terms, lifted)
@@ -199,11 +210,8 @@ class CoeffMatrix:
         return f"CoeffMatrix({len(self.row_keys)}x{len(self.col_keys)})"
 
 
-def _kept(lines) -> list:
-    """Each line of entries as (entries, lifted): entries maps the index of
-    each nonzero entry to it, and lifted is `_lifted` of those."""
-    kept = []
-    for line in lines:
-        entries = {k: e for k, e in enumerate(line) if e.num}
-        kept.append((entries, _lifted(entries)))
-    return kept
+def _kept(line) -> tuple:
+    """A row or column as (entries, lifted): entries maps the index of each
+    nonzero entry to it, and lifted is `_lifted` of those."""
+    entries = {k: e for k, e in enumerate(line) if e.num}
+    return entries, _lifted(entries)

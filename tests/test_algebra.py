@@ -3,6 +3,7 @@ orthogonalization, operators, on-the-fly bases."""
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtsym import SymmetricFunctions
+from qtsym.algebra import SymElement
 from qtsym.classical import (
     _margin_matrix_count,
     complete_to_monomial,
@@ -403,6 +405,151 @@ def test_scalar_lifts_g_at_most_once(S, monkeypatch):
         assert len(lifts) <= 1, product
         if product == "hall":  # rational columns, which nest
             assert len(lifts) == 1
+
+
+# -- a converted basis element hands its conversion-matrix column to the next
+# sum that reads it: pairings and round trips read that column's kept
+# lifted form instead of lifting the vector again
+
+_ALL_BASES = ("m", "e", "h", "p", "s", "P", "Q", "QP", "McdP")
+
+
+def _counted_lifts(monkeypatch) -> list:
+    """Every `_lifted` call made from algebra or linalg, recorded."""
+    import qtsym.algebra
+    import qtsym.linalg
+
+    calls = []
+    for module in (qtsym.algebra, qtsym.linalg):
+        kernel = module._lifted
+
+        def counted(entries, kernel=kernel):
+            calls.append(entries)
+            return kernel(entries)
+
+        monkeypatch.setattr(module, "_lifted", counted)
+    return calls
+
+
+def test_default_bases_round_trip_and_pair_through_degree_5(S):
+    assert [name for name, _ in S.bases()] == list(_ALL_BASES)
+    rng = random.Random("handed columns")
+    for n in range(1, 6):
+        for x in _ALL_BASES:
+            for y in _ALL_BASES:
+                for lam in partitions_of(n):
+                    there = S.convert(S[x](lam.parts), y)
+                    back = S.convert(there, x)
+                    assert back.basis == x and back.terms == {lam: ONE}, (x, y, lam)
+                    mu = rng.choice(partitions_of(n))
+                    product = rng.choice(("hall", "hall_t", "hall_qt"))
+                    for f, g in ((S[x](lam.parts), S[y](mu.parts)), (there, S[x](mu.parts))):
+                        expected = _reference_scalar(S, f, g, product)
+                        assert S.scalar(f, g, product) == expected, (f, g, product)
+
+
+def test_converted_basis_element_hands_over_its_column(S):
+    for x, y in (("McdP", "p"), ("s", "QP"), ("p", "m"), ("h", "e")):
+        for lam in partitions_of(4):
+            got = S.convert(S[x](lam.parts), y)
+            matrix, j = got._column
+            assert matrix is S.conversion_matrix(x, y, 4)
+            assert matrix.col_keys[j] == lam and got.terms == matrix.column(lam)
+            # the handle takes no part in equality or hashing
+            plain = SymElement(S, y, dict(got.terms))
+            assert plain._column is None
+            assert got == plain and plain == got and hash(got) == hash(plain)
+            assert len({got, plain}) == 1
+
+
+def test_elements_that_are_no_column_carry_no_handle(S):
+    rng = random.Random("no handle")
+    for x in _ALL_BASES:
+        for y in _ALL_BASES:
+            if x == y:
+                continue
+            lam, mu = rng.sample(partitions_of(4), 2)
+            nu = rng.choice(partitions_of(3))
+            one = S[x](lam.parts)
+            elements = [
+                one * (1 - Q),  # scaled
+                one + S[x](mu.parts),  # two terms
+                one - S[x](nu.parts) * T,  # two degrees
+                S.convert(one, "p") * 2,  # a scaled column
+                S.convert(one, "p") + S["p"](nu.parts),  # a sum with a column
+            ]
+            for el in elements:
+                got = S.convert(el, y)
+                assert got._column is None, (el, y)
+                want = {}
+                for n in {lam.size for lam in el.terms}:
+                    terms = {k: c for k, c in el.terms.items() if k.size == n}
+                    want.update(S.conversion_matrix(el.basis, y, n).apply(terms))
+                assert got.terms == want, (el, y)
+    # an element of p is its own conversion to p: a basis element of p
+    # pairs through its re-keyed terms
+    p = S["p"]([2, 1])
+    assert S.convert(p, "p") is p and p._column is None
+    assert S.scalar(S["McdP"]([2, 1]), p, "hall_qt") == _reference_scalar(
+        S, S["McdP"]([2, 1]), p, "hall_qt"
+    )
+
+
+def test_warm_pairing_of_basis_elements_lifts_nothing(S, monkeypatch):
+    pairs = [
+        (S["McdP"]([2, 1]), S["McdP"]([2, 1]), "hall_qt"),
+        (S["McdP"]([3, 1]), S["McdP"]([2, 2]), "hall_qt"),
+        (S["QP"]([2, 1, 1]), S["P"]([2, 1, 1]), "hall"),
+        (S["Q"]([3, 2]), S["P"]([3, 2]), "hall_t"),
+        (S["s"]([2, 1]), S["h"]([1, 1, 1]), "hall"),
+    ]
+    want = [S.scalar(f, g, product) for f, g, product in pairs]  # warm
+    calls = _counted_lifts(monkeypatch)
+    for _ in range(3):
+        assert [S.scalar(f, g, product) for f, g, product in pairs] == want
+    assert calls == []
+    assert want == [_reference_scalar(S, f, g, product) for f, g, product in pairs]
+
+
+def test_warm_round_trip_lifts_no_vector(S, monkeypatch):
+    trips = [("McdP", "p", [2, 1]), ("P", "h", [3, 1, 1]), ("s", "QP", [2, 2])]
+    for x, y, parts in trips:  # warm: the matrices and the columns are kept
+        S.convert(S.convert(S[x](parts), y), x)
+    calls = _counted_lifts(monkeypatch)
+    for x, y, parts in trips:
+        there = S.convert(S[x](parts), y)
+        assert len(there.terms) > 1
+        assert S.convert(there, x).terms == {Partition(parts): ONE}
+    assert calls == []
+
+
+def test_round_trips_lift_each_column_at_most_once(monkeypatch):
+    import qtsym.linalg
+
+    fresh = SymmetricFunctions()
+    for x in ("McdP", "s", "P"):
+        for y in ("p", "m", "QP"):
+            for n in (3, 4):
+                fresh.conversion_matrix(x, y, n)
+                fresh.conversion_matrix(y, x, n)
+    kept = []
+    kernel = qtsym.linalg._kept
+
+    def counted(line):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_col_lifted":
+            kept.append((id(frame.f_locals["self"]), frame.f_locals["j"]))
+        return kernel(line)
+
+    monkeypatch.setattr(qtsym.linalg, "_kept", counted)
+    for _ in range(3):
+        for x in ("McdP", "s", "P"):
+            for y in ("p", "m", "QP"):
+                for n in (3, 4):
+                    for lam in partitions_of(n):
+                        back = fresh.convert(fresh.convert(fresh[x](lam.parts), y), x)
+                        assert back.terms == {lam: ONE}
+    assert kept and len(kept) == len(set(kept))
 
 
 _ALPHABETS = (ONE, 1 - T, ONE / (1 - T), (1 - Q) / (1 - T), Q + T, Fraction(-1, 2))

@@ -130,8 +130,12 @@ def test_discarded_registry_dies_with_its_last_reference():
     [
         lambda S: S.gram_schmidt(3, "hall_qt"),
         lambda S: S.apply_operator("omega", S["s"]([2, 1])),
+        # a converted basis element holds a conversion matrix, whose kept
+        # columns hold coefficients only
+        lambda S: S.scalar(S["McdP"]([2, 1]), S["McdP"]([2, 1]), "hall_qt"),
+        lambda S: S.convert(S.convert(S["McdP"]([2, 1]), "p"), "McdP"),
     ],
-    ids=["gram_schmidt", "apply_operator"],
+    ids=["gram_schmidt", "apply_operator", "scalar", "round_trip"],
 )
 def test_registry_with_cached_results_dies_with_its_last_reference(use):
     # the Gram-Schmidt and operator-image caches hold terms, not elements,

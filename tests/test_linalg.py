@@ -467,3 +467,49 @@ def test_equality_ignores_the_kept_lifts():
     assert a == b and b == a
     b @ a
     assert b == a and b == copy.deepcopy(a)
+
+
+# -- columns are kept one at a time, on first use; a vector that is a kept
+# column of another matrix is read from there, not lifted again
+
+
+def test_columns_are_kept_one_at_a_time():
+    rng = random.Random(25)
+    keys = range(4)
+    a, b = (_random_sparse(rng, keys, keys, values=_KINDS["nested"]) for _ in range(2))
+    assert b._lifted_cols == [None] * 4
+    vector = {k: b.entry(k, 2) for k in keys}
+    assert a.apply(vector, (b, 2)) == _running_sum_apply(a, vector)
+    assert [kept is not None for kept in b._lifted_cols] == [False, False, True, False]
+    # composition asks for every column, and finds the one already kept
+    assert a @ b == _running_sum_matmul(a, b)
+    assert all(kept is not None for kept in b._lifted_cols)
+
+
+def test_apply_reads_a_kept_column_instead_of_lifting(monkeypatch):
+    rng = random.Random(26)
+    keys = ("u", "v", "w", "x")
+    for kind in sorted(_KINDS):
+        a = _random_sparse(rng, keys, keys, values=_KINDS[kind])
+        b = _random_sparse(rng, keys, keys, values=_KINDS[kind])
+        columns = [b.column(k) for k in keys]
+        want = [_running_sum_apply(a, column) for column in columns]
+        assert [a.apply(col, (b, j)) for j, col in enumerate(columns)] == want
+        calls = _counted_lifts(monkeypatch)
+        for _ in range(2):
+            assert [a.apply(col, (b, j)) for j, col in enumerate(columns)] == want
+        assert calls == []
+        monkeypatch.undo()
+
+
+def test_apply_lifts_a_column_whose_rows_are_not_its_columns(monkeypatch):
+    rng = random.Random(27)
+    a = _random_sparse(rng, range(3), range(3), values=_KINDS["nested"])
+    b = _random_sparse(rng, ("x", "y", "z"), range(2), values=_KINDS["nested"])
+    # b's rows are keyed otherwise, so its column only names a's columns
+    # by position; the vector itself is lifted
+    vector = {0: ONE / 2, 1: T / (1 - T), 2: Q}
+    a.apply(vector)  # a's rows are kept
+    calls = _counted_lifts(monkeypatch)
+    assert a.apply(vector, (b, 0)) == _running_sum_apply(a, vector)
+    assert len(calls) == 1 and b._lifted_cols == [None, None]
