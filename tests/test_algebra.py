@@ -432,7 +432,6 @@ def _counted_lifts(monkeypatch) -> list:
 
 
 def test_default_bases_round_trip_and_pair_through_degree_5(S):
-    assert [name for name, _ in S.bases()] == list(_ALL_BASES)
     rng = random.Random("handed columns")
     for n in range(1, 6):
         for x in _ALL_BASES:
